@@ -39,6 +39,7 @@ Status GreedyPartitioner::Partition(EdgeStream& stream,
         sink.Assign(e, target);
       }));
   out.stream_passes += 1;
+  out.quality = tables.Quality();
   return Status::OK();
 }
 

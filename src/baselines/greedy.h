@@ -19,6 +19,9 @@ class GreedyPartitioner : public Partitioner {
  public:
   std::string name() const override { return "Greedy"; }
 
+  /// Every delivered edge is one ScoreTables::Commit.
+  bool reports_quality() const override { return true; }
+
   Status Partition(EdgeStream& stream, const PartitionConfig& config,
                    AssignmentSink& sink, PartitionStats* stats) override;
 };

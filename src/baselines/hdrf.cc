@@ -52,6 +52,7 @@ Status HdrfPartitioner::Partition(EdgeStream& stream,
         sink.Assign(e, target);
       }));
   out.stream_passes += 1;
+  out.quality = tables.Quality();
   return Status::OK();
 }
 

@@ -25,6 +25,9 @@ class HdrfPartitioner : public Partitioner {
 
   std::string name() const override { return "HDRF"; }
 
+  /// Every delivered edge is one ScoreTables::Commit.
+  bool reports_quality() const override { return true; }
+
   Status Partition(EdgeStream& stream, const PartitionConfig& config,
                    AssignmentSink& sink, PartitionStats* stats) override;
 

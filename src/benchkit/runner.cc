@@ -14,9 +14,8 @@
 namespace tpsl {
 namespace benchkit {
 
-void AttachObsMetrics(BenchRecord* record) {
-  const obs::MetricsSnapshot snapshot =
-      obs::MetricsRegistry::Default().Snapshot();
+void AttachObsMetrics(BenchRecord* record,
+                      const obs::MetricsSnapshot& snapshot) {
   for (const auto& [name, value] : snapshot.counters) {
     if (value != 0) {
       record->SetMetric("obs/" + name, static_cast<double>(value));
@@ -65,10 +64,6 @@ StatusOr<BenchRecord> RunScenario(const Scenario& scenario,
   // unsupported the metric degrades to the lifetime peak — still a
   // valid upper bound, and it is informational, never gated.
   ResetPeakRss();
-  // Scenario-scoped obs snapshot: counters/histograms accumulated here
-  // are attached to the record below, so each record describes its own
-  // run, not the process lifetime.
-  obs::MetricsRegistry::Default().Reset();
   TPSL_ASSIGN_OR_RETURN(std::vector<Edge> edges,
                         LoadDataset(scenario.dataset, shift));
   // Resolve 0-means-hardware here, not just inside the partitioner:
@@ -82,10 +77,18 @@ StatusOr<BenchRecord> RunScenario(const Scenario& scenario,
   config.num_partitions = scenario.k;
   config.seed = scenario.seed;
   config.exec.threads = threads;
+  // Run-scoped obs snapshots: the registry is reset before every
+  // repeat and the kept (fastest) repeat's snapshot goes into the
+  // record, so obs/* values describe one run, like the primary
+  // metrics, not the sum over --repeat runs.
+  obs::MetricsRegistry& registry = obs::MetricsRegistry::Default();
+  registry.Reset();
   TPSL_ASSIGN_OR_RETURN(
       Measurement m,
       MeasureOnEdges(scenario.partitioner, scenario.dataset, edges, config));
+  obs::MetricsSnapshot obs_snapshot = registry.Snapshot();
   for (int repeat = 1; repeat < options.repeats; ++repeat) {
+    registry.Reset();
     TPSL_ASSIGN_OR_RETURN(
         const Measurement again,
         MeasureOnEdges(scenario.partitioner, scenario.dataset, edges,
@@ -93,6 +96,7 @@ StatusOr<BenchRecord> RunScenario(const Scenario& scenario,
     if (again.seconds < m.seconds) {
       m.seconds = again.seconds;
       m.stats.phase_seconds = again.stats.phase_seconds;
+      obs_snapshot = registry.Snapshot();
     }
   }
 
@@ -121,7 +125,7 @@ StatusOr<BenchRecord> RunScenario(const Scenario& scenario,
                        static_cast<double>(edges.size()) / seconds);
     }
   }
-  AttachObsMetrics(&record);
+  AttachObsMetrics(&record, obs_snapshot);
   AttachHostMetrics(&record);
   return record;
 }

@@ -3,6 +3,7 @@
 
 #include "benchkit/record.h"
 #include "benchkit/scenario.h"
+#include "obs/metrics.h"
 #include "util/status.h"
 
 namespace tpsl {
@@ -33,12 +34,13 @@ struct RunScenarioOptions {
 StatusOr<BenchRecord> RunScenario(const Scenario& scenario,
                                   const RunScenarioOptions& options = {});
 
-/// Folds the default obs::MetricsRegistry snapshot into `record` as
-/// informational "obs/<name>" metrics (histograms expand to
-/// /count,/p50,/p90,/p99; zero-valued metrics are skipped). Callers
-/// Reset() the registry before the measured work so the snapshot is
-/// scenario-scoped.
-void AttachObsMetrics(BenchRecord* record);
+/// Folds `snapshot` into `record` as informational "obs/<name>"
+/// metrics (histograms expand to /count,/p50,/p90,/p99; zero-valued
+/// metrics are skipped). Repeated scenarios Reset() the registry
+/// before each repeat and attach the kept repeat's snapshot, so obs
+/// values are per run like the primary metrics.
+void AttachObsMetrics(BenchRecord* record,
+                      const obs::MetricsSnapshot& snapshot);
 
 /// Stamps host-environment context into `record` as informational
 /// metrics — currently "hw_threads", the effective

@@ -1,6 +1,7 @@
 #include "core/parallel_two_phase.h"
 
 #include <atomic>
+#include <bit>
 #include <mutex>
 #include <utility>
 #include <vector>
@@ -44,6 +45,37 @@ class AtomicReplicationBits {
 
   uint64_t HeapBytes() const {
     return words_.size() * sizeof(std::atomic<uint64_t>);
+  }
+
+  /// The run's quality from the matrix and the final loads: total
+  /// replicas are the set bits, covered vertices the non-empty rows.
+  /// One read of every word plus one skip per covered row. Call only
+  /// after the pass has joined its workers.
+  PartitionQuality Quality(std::vector<uint64_t> loads) const {
+    uint64_t total_replicas = 0;
+    for (const auto& word : words_) {
+      total_replicas += std::popcount(word.load(std::memory_order_relaxed));
+    }
+    // Find the first set bit at or after `bit`, count its row, and
+    // resume at the next row's first bit.
+    uint64_t covered = 0;
+    uint64_t bit = 0;
+    const uint64_t num_bits = words_.size() * 64;
+    while (bit < num_bits) {
+      uint64_t w = bit >> 6;
+      uint64_t word = words_[w].load(std::memory_order_relaxed) &
+                      (~uint64_t{0} << (bit & 63));
+      while (word == 0 && ++w < words_.size()) {
+        word = words_[w].load(std::memory_order_relaxed);
+      }
+      if (word == 0) {
+        break;
+      }
+      const uint64_t found = (w << 6) + std::countr_zero(word);
+      ++covered;
+      bit = (found / num_partitions_ + 1) * num_partitions_;
+    }
+    return QualityFromTallies(total_replicas, covered, std::move(loads));
   }
 
  private:
@@ -315,6 +347,13 @@ Status ParallelTwoPhasePartitioner::Partition(EdgeStream& stream,
 
   out.prepartitioned_edges = prepartitioned.load();
   out.remaining_edges = remaining.load();
+  // Every delivered edge claimed exactly one load slot and set its two
+  // bits; the passes have joined, so these are the final values.
+  std::vector<uint64_t> final_loads(loads.size());
+  for (size_t p = 0; p < loads.size(); ++p) {
+    final_loads[p] = loads[p].load(std::memory_order_relaxed);
+  }
+  out.quality = replicas.Quality(std::move(final_loads));
   return Status::OK();
 }
 

@@ -56,6 +56,11 @@ class ParallelTwoPhasePartitioner : public Partitioner {
                                                     : "2PS-HDRF(par)";
   }
 
+  /// Every delivered edge claims one load slot and sets its two bits in
+  /// the shared atomic matrix; after the pass that matrix is the exact
+  /// merged replica state at any thread count.
+  bool reports_quality() const override { return true; }
+
   Status Partition(EdgeStream& stream, const PartitionConfig& config,
                    AssignmentSink& sink, PartitionStats* stats) override;
 

@@ -151,6 +151,7 @@ Status TwoPhasePartitioner::Partition(EdgeStream& stream,
       }));
   out.stream_passes += 1;
 
+  out.quality = tables.Quality();
   return Status::OK();
 }
 

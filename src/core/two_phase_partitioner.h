@@ -51,6 +51,10 @@ class TwoPhasePartitioner : public Partitioner {
 
   std::string name() const override;
 
+  /// Every delivered edge is one ScoreTables::Commit (overflow
+  /// included), so the kernel state is the run's exact quality.
+  bool reports_quality() const override { return true; }
+
   Status Partition(EdgeStream& stream, const PartitionConfig& config,
                    AssignmentSink& sink, PartitionStats* stats) override;
 

@@ -24,9 +24,10 @@ struct Assignment {
 /// seam where that write-back (or any consumer) plugs in.
 ///
 /// Sinks compose into a pipeline: the runner fans one assignment out to
-/// several sinks through a TeeSink (quality, validation, spill-to-disk,
-/// optional in-memory materialization), so measurement never forces
-/// edge-set materialization.
+/// several sinks through a TeeSink (validation, spill-to-disk, optional
+/// in-memory materialization, and quality for partitioners that do not
+/// report their own), so measurement never forces edge-set
+/// materialization.
 class AssignmentSink {
  public:
   virtual ~AssignmentSink() = default;
@@ -35,7 +36,7 @@ class AssignmentSink {
 
   /// Batched variant: one scored batch delivered in one virtual call,
   /// so a parallel scoring pass amortizes the dispatch and a
-  /// concurrent-safe sink can absorb the whole batch into one shard.
+  /// concurrent-safe sink can take the whole batch at once.
   /// Default forwards per edge, preserving Assign()'s exact semantics
   /// and ordering for sequential sinks.
   virtual void AssignBatch(const Assignment* batch, size_t count) {

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <unordered_set>
+#include <utility>
 
 namespace tpsl {
 
@@ -43,6 +44,32 @@ PartitionQuality ComputeQuality(const std::vector<std::vector<Edge>>& parts) {
           static_cast<double>(quality.max_partition_size) / expected;
     }
   }
+  return quality;
+}
+
+PartitionQuality QualityFromTallies(uint64_t total_replicas,
+                                    uint64_t covered_vertices,
+                                    std::vector<uint64_t> loads) {
+  PartitionQuality quality;
+  for (const uint64_t load : loads) {
+    quality.num_edges += load;
+  }
+  quality.num_covered_vertices = covered_vertices;
+  if (covered_vertices > 0) {
+    quality.replication_factor = static_cast<double>(total_replicas) /
+                                 static_cast<double>(covered_vertices);
+  }
+  if (!loads.empty()) {
+    quality.max_partition_size = *std::max_element(loads.begin(), loads.end());
+    quality.min_partition_size = *std::min_element(loads.begin(), loads.end());
+    if (quality.num_edges > 0) {
+      const double expected = static_cast<double>(quality.num_edges) /
+                              static_cast<double>(loads.size());
+      quality.measured_alpha =
+          static_cast<double>(quality.max_partition_size) / expected;
+    }
+  }
+  quality.partition_sizes = std::move(loads);
   return quality;
 }
 

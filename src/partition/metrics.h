@@ -31,6 +31,17 @@ struct PartitionQuality {
 /// Computes quality from per-partition edge lists.
 PartitionQuality ComputeQuality(const std::vector<std::vector<Edge>>& parts);
 
+/// Quality from the integer tallies an online replica state holds at
+/// the end of a run: Σ_v replicas(v), the number of vertices with at
+/// least one replica, and the per-partition edge loads. The one
+/// arithmetic behind every online source — StreamingQualitySink, the
+/// ScoreTables kernel and the parallel 2PS core's atomic bit matrix —
+/// so equal tallies give bit-identical qualities. ComputeQuality stays
+/// separate: it is the oracle those sources are tested against.
+PartitionQuality QualityFromTallies(uint64_t total_replicas,
+                                    uint64_t covered_vertices,
+                                    std::vector<uint64_t> loads);
+
 /// Validates the partitioning contract: every partition within
 /// `capacity`, total edges equals `expected_edges`. Returns an error
 /// describing the first violation.

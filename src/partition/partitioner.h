@@ -4,6 +4,7 @@
 #include <algorithm>
 #include <cstdint>
 #include <map>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -12,6 +13,7 @@
 #include "graph/types.h"
 #include "obs/trace.h"
 #include "partition/assignment_sink.h"
+#include "partition/metrics.h"
 #include "util/status.h"
 #include "util/timer.h"
 
@@ -71,6 +73,12 @@ struct PartitionStats {
   uint64_t prepartitioned_edges = 0;
   uint64_t remaining_edges = 0;
 
+  /// The run's quality, read at the end of Partition() from the
+  /// partitioner's own replica state and loads. Set only by
+  /// partitioners whose reports_quality() is true; RunPartitioner then
+  /// uses it instead of a shadow quality sink.
+  std::optional<PartitionQuality> quality;
+
   double TotalSeconds() const {
     double total = 0;
     for (const auto& [name, seconds] : phase_seconds) {
@@ -84,7 +92,8 @@ struct PartitionStats {
   /// so a phase takes as long as its slowest worker (max), not the sum
   /// of their CPU time. Counts (passes are shared; state and edge
   /// tallies are disjoint) sum where disjoint, max where shared. With
-  /// one worker this is the identity.
+  /// one worker this is the identity. Per-worker qualities cover only
+  /// their own edges, so the merged record carries none.
   static PartitionStats MergeWorkers(
       const std::vector<PartitionStats>& workers) {
     PartitionStats merged;
@@ -144,6 +153,13 @@ class Partitioner {
   /// hashing partitioners (DBH, Grid, uniform hash) do not — the paper
   /// annotates their measured α in the plots instead (Fig. 4).
   virtual bool enforces_balance_cap() const { return true; }
+
+  /// Whether Partition() fills PartitionStats::quality. True only for
+  /// partitioners whose replica table and loads are exact: every
+  /// delivered edge sets exactly its two endpoint bits and one load,
+  /// and nothing else does. RunPartitioner asks before the pass so it
+  /// attaches a quality sink only for the others.
+  virtual bool reports_quality() const { return false; }
 
   /// Partitions `stream` into `config.num_partitions` parts, reporting
   /// assignments to `sink`. `stats` may be null.

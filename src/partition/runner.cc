@@ -26,41 +26,37 @@ StatusOr<RunResult> RunPartitioner(Partitioner& partitioner,
   const uint64_t hint = stream.NumEdgesHint();
   const bool cap_enforced = partitioner.enforces_balance_cap();
 
-  // The sink pipeline: quality always, validation unless disabled,
-  // materialization and spill on request. Everything is single-pass —
-  // each assignment fans out once through the tee as it is made.
+  // The sink pipeline: quality unless the partitioner reports its own
+  // (a quality sink would only keep a second copy of its replica
+  // table), validation unless disabled, materialization and spill on
+  // request. Everything is single-pass — each assignment fans out once
+  // through the tee as it is made.
   //
   // Shape depends on the run's parallelism. threads == 1: the sinks
   // hang directly off one tee, delivered in stream order (the
-  // byte-identity contract). threads > 1: quality bookkeeping moves to
-  // the concurrent-safe sharded sink and every sequential consumer
-  // moves behind a bounded handoff queue, so the whole pipeline
-  // reports ConcurrentSafe and the scoring pass never takes a sink
-  // mutex — sink consumption overlaps scoring instead of serializing
-  // it.
+  // byte-identity contract). threads > 1: the same tee moves behind a
+  // bounded handoff queue, so the pipeline reports ConcurrentSafe and
+  // the scoring pass never takes a sink mutex — sink consumption
+  // overlaps scoring instead of serializing it, and no sink keeps
+  // per-worker state.
   const uint32_t threads = config.exec.ResolveThreads();
-  StreamingQualitySink quality_sink(k);
-  std::optional<ShardedQualitySink> sharded_quality;
+  std::optional<StreamingQualitySink> quality_sink;
   ValidatingSink validating_sink(
       k, options.validate && cap_enforced && hint != 0
              ? config.PartitionCapacity(hint)
              : ValidatingSink::kNoCapacity);
-  TeeSink pipeline;
-  TeeSink sequential_sinks;  // threads > 1: consumers behind the queue
-  TeeSink& direct = threads > 1 ? sequential_sinks : pipeline;
-  if (threads > 1) {
-    sharded_quality.emplace(k, threads);
-    pipeline.Add(&*sharded_quality);
-  } else {
-    pipeline.Add(&quality_sink);
+  TeeSink consumers;
+  if (!partitioner.reports_quality()) {
+    quality_sink.emplace(k);
+    consumers.Add(&*quality_sink);
   }
   if (options.validate) {
-    direct.Add(&validating_sink);
+    consumers.Add(&validating_sink);
   }
   std::optional<EdgeListSink> keep_sink;
   if (options.keep_partitions) {
     keep_sink.emplace(k);
-    direct.Add(&*keep_sink);
+    consumers.Add(&*keep_sink);
   }
   // A failed spill run must not leave partial partition files behind:
   // the error Status carries no SpillInfo, so no caller could clean
@@ -88,7 +84,7 @@ StatusOr<RunResult> RunPartitioner(Partitioner& partitioner,
             .string();
     spill_sink.emplace(prefix, k);
     TPSL_RETURN_IF_ERROR(spill_sink->status());
-    direct.Add(&*spill_sink);
+    consumers.Add(&*spill_sink);
     spill_cleanup.files.prefix = prefix;
     for (PartitionId p = 0; p < k; ++p) {
       spill_cleanup.files.partition_paths.push_back(
@@ -96,20 +92,21 @@ StatusOr<RunResult> RunPartitioner(Partitioner& partitioner,
     }
     spill_cleanup.armed = true;
   }
+  AssignmentSink* pipeline = &consumers;
   std::optional<AsyncHandoffSink> handoff;
-  if (threads > 1 && sequential_sinks.num_sinks() > 0) {
+  if (threads > 1 && consumers.num_sinks() > 0) {
     // Bound the queue at a few chunks per worker: enough slack that a
     // slow spill write does not stall scoring, small enough that
     // back-pressure (not memory) absorbs a persistently slow consumer.
-    handoff.emplace(&sequential_sinks, /*max_queued_chunks=*/4 * threads);
-    pipeline.Add(&*handoff);
+    handoff.emplace(&consumers, /*max_queued_chunks=*/4 * threads);
+    pipeline = &*handoff;
   }
 
   WallTimer timer;
   {
     obs::TraceSpan span("partition.run", "partition");
     TPSL_RETURN_IF_ERROR(
-        partitioner.Partition(stream, config, pipeline, &result.stats));
+        partitioner.Partition(stream, config, *pipeline, &result.stats));
   }
   if (handoff) {
     // Drain the queue and park the drainer before any downstream state
@@ -125,11 +122,13 @@ StatusOr<RunResult> RunPartitioner(Partitioner& partitioner,
   // writer that hit a full disk (or an async handoff whose downstream
   // died) latched the failure in Health(). Check before trusting any
   // downstream state.
-  TPSL_RETURN_IF_ERROR(pipeline.Health());
+  TPSL_RETURN_IF_ERROR(pipeline->Health());
   // Whole-run state: the partitioner's own accounting plus the live
-  // sink-side state (replication bitsets, writer buffers, any opted-in
-  // edge lists) — snapshot before Finish() releases the writer.
-  result.stats.state_bytes += pipeline.StateBytes();
+  // sink-side state (a quality sink's bitsets, writer buffers, any
+  // opted-in edge lists) — snapshot before Finish() releases the
+  // writer. The handoff reports its downstream tee, so the figure does
+  // not depend on the thread count.
+  result.stats.state_bytes += pipeline->StateBytes();
   // Report a mid-stream capacity violation before paying for the spill
   // manifest: the run is already known invalid.
   if (options.validate) {
@@ -141,8 +140,15 @@ StatusOr<RunResult> RunPartitioner(Partitioner& partitioner,
   }
   result.wall_seconds = timer.ElapsedSeconds();
 
-  result.quality =
-      sharded_quality ? sharded_quality->Quality() : quality_sink.Quality();
+  if (quality_sink) {
+    result.quality = quality_sink->Quality();
+  } else if (result.stats.quality) {
+    result.quality = *result.stats.quality;
+  } else {
+    return Status::Internal(result.partitioner_name +
+                            " reports quality but left stats.quality unset");
+  }
+  PublishQualityGauges(result.quality);
   if (options.validate) {
     // Always check that every edge was assigned; check the hard cap
     // only for partitioners that promise it (stateless hashing does

@@ -28,9 +28,9 @@ struct SpillInfo {
 
 /// One timed, measured partitioning run: what every experiment and
 /// example needs. Wraps Partitioner::Partition with a wall timer and a
-/// composable sink pipeline — streaming quality metrics and contract
-/// validation by default (O(|V|·k) state, never an edge list), plus
-/// opt-in materialization and disk spill sinks.
+/// composable sink pipeline — contract validation by default, plus
+/// opt-in materialization and disk spill sinks — and reports the run's
+/// quality (never from an edge list; see RunPartitioner).
 struct RunResult {
   std::string partitioner_name;
   PartitionQuality quality;
@@ -62,13 +62,26 @@ struct RunOptions {
   std::string spill_stem = "partitions";
 };
 
-/// Runs `partitioner` on `stream` and returns measurements. Quality
-/// and validation are computed single-pass by StreamingQualitySink /
-/// ValidatingSink while assignments stream through — the default path
-/// holds no edge lists, so out-of-core runs stay out of core end to
-/// end. `stats.state_bytes` covers the whole run: partitioner state
-/// plus sink-side state (replication bitsets, writer buffers,
-/// opted-in edge lists).
+/// Runs `partitioner` on `stream` and returns measurements.
+///
+/// Where the quality comes from: a partitioner whose reports_quality()
+/// is true (the 2PS cores, HDRF, Greedy) computes it at the end of
+/// Partition() from its own replica table and loads, and the runner
+/// takes PartitionStats::quality — one O(|V|·k) table per run, as the
+/// paper counts it. For every other partitioner the runner attaches a
+/// StreamingQualitySink that rebuilds the replica state from the
+/// assignments. Both paths end in QualityFromTallies, and the property
+/// suite holds both to the ComputeQuality oracle exactly. Either way
+/// the `quality.*` gauges are set from the final quality.
+///
+/// Validation runs single-pass in a ValidatingSink while assignments
+/// stream through — the default path holds no edge lists, so
+/// out-of-core runs stay out of core end to end. At threads > 1 the
+/// sinks sit behind one AsyncHandoffSink, so no sink keeps per-worker
+/// state. `stats.state_bytes` covers the whole run: partitioner state
+/// plus sink-side state (a quality sink's bitsets, writer buffers,
+/// opted-in edge lists); the sink-side part does not depend on the
+/// thread count.
 StatusOr<RunResult> RunPartitioner(Partitioner& partitioner,
                                    EdgeStream& stream,
                                    const PartitionConfig& config,

@@ -9,6 +9,7 @@
 #include "graph/types.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
+#include "partition/metrics.h"
 #include "partition/replication_table.h"
 #include "util/status.h"
 
@@ -199,6 +200,15 @@ class ScoreTables {
       return best_common;
     }
     return best_either != kInvalidPartition ? best_either : best_any;
+  }
+
+  /// The quality of everything committed so far. Exact for callers
+  /// that route every delivered edge through one Commit and nothing
+  /// else through Commit/AddLoad/SubLoad — those partitioners report
+  /// it as PartitionStats::quality.
+  PartitionQuality Quality() const {
+    return QualityFromTallies(replicas_.TotalReplicas(),
+                              replicas_.CoveredVertices(), loads_);
   }
 
   /// Exact bytes held by the kernel state (replication matrix + cover

@@ -29,158 +29,23 @@ obs::Histogram* QualitySampleHist() {
 
 }  // namespace
 
+void PublishQualityGauges(const PartitionQuality& quality) {
+  ReplicationFactorGauge()->Set(quality.replication_factor);
+  MaxLoadSkewGauge()->Set(quality.measured_alpha);
+  obs::EmitCounter("quality.replication_factor", quality.replication_factor);
+  obs::EmitCounter("quality.max_load_skew", quality.measured_alpha);
+}
+
 void StreamingQualitySink::SampleQuality() const {
   const int64_t start_ns = obs::TraceNowNanos();
-  const double rf = table_.ReplicationFactor();
-  uint64_t max_load = 0;
-  uint64_t total = 0;
-  for (uint64_t load : loads_) {
-    max_load = std::max(max_load, load);
-    total += load;
-  }
-  const double expected =
-      static_cast<double>(total) / static_cast<double>(loads_.size());
-  const double skew =
-      expected > 0.0 ? static_cast<double>(max_load) / expected : 0.0;
-  ReplicationFactorGauge()->Set(rf);
-  MaxLoadSkewGauge()->Set(skew);
-  obs::EmitCounter("quality.replication_factor", rf);
-  obs::EmitCounter("quality.max_load_skew", skew);
+  PublishQualityGauges(Quality());
   QualitySampleHist()->RecordNanos(
       static_cast<uint64_t>(obs::TraceNowNanos() - start_ns));
 }
 
 PartitionQuality StreamingQualitySink::Quality() const {
-  PartitionQuality quality;
-  quality.partition_sizes = loads_;
-  for (uint64_t load : loads_) {
-    quality.num_edges += load;
-  }
-  quality.num_covered_vertices = table_.CoveredVertices();
-  quality.replication_factor = table_.ReplicationFactor();
-  if (!loads_.empty()) {
-    quality.max_partition_size =
-        *std::max_element(loads_.begin(), loads_.end());
-    quality.min_partition_size =
-        *std::min_element(loads_.begin(), loads_.end());
-    if (quality.num_edges > 0) {
-      const double expected = static_cast<double>(quality.num_edges) /
-                              static_cast<double>(loads_.size());
-      quality.measured_alpha =
-          static_cast<double>(quality.max_partition_size) / expected;
-    }
-  }
-  return quality;
-}
-
-ShardedQualitySink::ShardedQualitySink(uint32_t num_partitions,
-                                       uint32_t num_shards)
-    : num_partitions_(num_partitions) {
-  shards_.reserve(num_shards > 0 ? num_shards : 1);
-  for (uint32_t s = 0; s < (num_shards > 0 ? num_shards : 1); ++s) {
-    auto shard = std::make_unique<Shard>();
-    shard->loads.assign(num_partitions, 0);
-    shards_.push_back(std::move(shard));
-  }
-}
-
-void ShardedQualitySink::AssignBatch(const Assignment* batch, size_t count) {
-  if (count == 0) {
-    return;
-  }
-  // Lease any free shard: with one shard per worker a free one always
-  // exists when callers are the scoring workers, so the scan is one
-  // probe in the common case; the wrap-around spin is a safety net for
-  // oversubscribed callers.
-  Shard* shard = nullptr;
-  for (size_t i = 0;; ++i) {
-    Shard& candidate = *shards_[i % shards_.size()];
-    if (!candidate.in_use.exchange(true, std::memory_order_acquire)) {
-      shard = &candidate;
-      break;
-    }
-  }
-  for (size_t i = 0; i < count; ++i) {
-    const Edge& e = batch[i].edge;
-    const PartitionId p = batch[i].partition;
-    const VertexId top = std::max(e.first, e.second);
-    if (top >= shard->num_vertices) {
-      shard->num_vertices = top + 1;
-      shard->bits.Resize(static_cast<uint64_t>(shard->num_vertices) *
-                         num_partitions_);
-    }
-    shard->bits.Set(static_cast<uint64_t>(e.first) * num_partitions_ + p);
-    shard->bits.Set(static_cast<uint64_t>(e.second) * num_partitions_ + p);
-    ++shard->loads[p];
-  }
-  shard->in_use.store(false, std::memory_order_release);
-}
-
-PartitionQuality ShardedQualitySink::Quality() const {
-  // Word-parallel merge: one OR per shard into a bitset sized for the
-  // largest shard, then a single ascending set-bit scan yields both
-  // integer terms of the replication factor.
-  VertexId num_vertices = 0;
-  for (const auto& shard : shards_) {
-    num_vertices = std::max(num_vertices, shard->num_vertices);
-  }
-  DenseBitset merged(static_cast<uint64_t>(num_vertices) * num_partitions_);
-  std::vector<uint64_t> loads(num_partitions_, 0);
-  for (const auto& shard : shards_) {
-    merged.InplaceOr(shard->bits);
-    for (uint32_t p = 0; p < num_partitions_; ++p) {
-      loads[p] += shard->loads[p];
-    }
-  }
-  // total replicas = set bits (a (v,p) bit is one replica); covered
-  // vertices = rows with any bit. ForEachSetBit ascends, so a new row
-  // shows up as a jump in bit/k — the same integers the sequential
-  // sink's incremental counters hold at the end of the stream.
-  uint64_t total_replicas = 0;
-  uint64_t covered = 0;
-  uint64_t last_row = ~uint64_t{0};
-  merged.ForEachSetBit([&](uint64_t bit) {
-    ++total_replicas;
-    const uint64_t row = bit / num_partitions_;
-    if (row != last_row) {
-      ++covered;
-      last_row = row;
-    }
-  });
-
-  // From here on: field-for-field the arithmetic of
-  // StreamingQualitySink::Quality() / ReplicationTable, so the two
-  // sinks agree to the last bit on identical assignments.
-  PartitionQuality quality;
-  quality.partition_sizes = loads;
-  for (uint64_t load : loads) {
-    quality.num_edges += load;
-  }
-  quality.num_covered_vertices = covered;
-  quality.replication_factor =
-      covered == 0 ? 0.0
-                   : static_cast<double>(total_replicas) /
-                         static_cast<double>(covered);
-  if (!loads.empty()) {
-    quality.max_partition_size = *std::max_element(loads.begin(), loads.end());
-    quality.min_partition_size = *std::min_element(loads.begin(), loads.end());
-    if (quality.num_edges > 0) {
-      const double expected = static_cast<double>(quality.num_edges) /
-                              static_cast<double>(loads.size());
-      quality.measured_alpha =
-          static_cast<double>(quality.max_partition_size) / expected;
-    }
-  }
-  return quality;
-}
-
-uint64_t ShardedQualitySink::StateBytes() const {
-  uint64_t bytes = shards_.capacity() * sizeof(std::unique_ptr<Shard>);
-  for (const auto& shard : shards_) {
-    bytes += sizeof(Shard) + shard->bits.HeapBytes() +
-             shard->loads.capacity() * sizeof(uint64_t);
-  }
-  return bytes;
+  return QualityFromTallies(table_.TotalReplicas(), table_.CoveredVertices(),
+                            loads_);
 }
 
 AsyncHandoffSink::AsyncHandoffSink(AssignmentSink* downstream,
@@ -269,12 +134,29 @@ uint64_t AsyncHandoffSink::StateBytes() const {
   return downstream_->StateBytes();
 }
 
+namespace {
+
+Status CapacityViolation(PartitionId partition, uint64_t capacity) {
+  return Status::FailedPrecondition(
+      "partition " + std::to_string(partition) + " exceeded capacity " +
+      std::to_string(capacity) + " mid-stream");
+}
+
+}  // namespace
+
 void ValidatingSink::Assign(const Edge& /*edge*/, PartitionId partition) {
   const uint64_t load = ++loads_[partition];
   if (load > capacity_ && status_.ok()) {
-    status_ = Status::FailedPrecondition(
-        "partition " + std::to_string(partition) + " exceeded capacity " +
-        std::to_string(capacity_) + " mid-stream");
+    status_ = CapacityViolation(partition, capacity_);
+  }
+}
+
+void ValidatingSink::AssignBatch(const Assignment* batch, size_t count) {
+  for (size_t i = 0; i < count; ++i) {
+    const PartitionId partition = batch[i].partition;
+    if (++loads_[partition] > capacity_ && status_.ok()) {
+      status_ = CapacityViolation(partition, capacity_);
+    }
   }
 }
 

@@ -2,18 +2,15 @@
 #define TPSL_PARTITION_SINK_PIPELINE_H_
 
 #include <algorithm>
-#include <atomic>
 #include <condition_variable>
 #include <cstdint>
 #include <deque>
-#include <memory>
 #include <mutex>
 #include <thread>
 #include <vector>
 
 #include "graph/types.h"
 #include "partition/assignment_sink.h"
-#include "partition/dense_bitset.h"
 #include "partition/metrics.h"
 #include "partition/replication_table.h"
 #include "util/status.h"
@@ -27,6 +24,12 @@ namespace tpsl {
 /// ComputeQuality over materialized partitions. ComputeQuality stays
 /// as the independent test oracle; the property suite asserts exact
 /// (bit-level) agreement on every registry partitioner.
+///
+/// RunPartitioner attaches it only for partitioners that do not report
+/// their own quality (Partitioner::reports_quality): the stateless
+/// hashers, and the partitioners whose replica state may hold bits no
+/// delivered edge set. For the rest it would be a second copy of the
+/// partitioner's own v2p table.
 class StreamingQualitySink : public AssignmentSink {
  public:
   /// Every 2^sample_interval_log2 assignments the sink publishes the
@@ -51,8 +54,8 @@ class StreamingQualitySink : public AssignmentSink {
     }
   }
 
-  /// The quality of everything assigned so far. Field-for-field the
-  /// same arithmetic as ComputeQuality, so the two agree exactly.
+  /// The quality of everything assigned so far (QualityFromTallies
+  /// over the table's tallies and the loads).
   PartitionQuality Quality() const;
 
   const std::vector<uint64_t>& loads() const { return loads_; }
@@ -71,65 +74,18 @@ class StreamingQualitySink : public AssignmentSink {
   uint64_t assigned_ = 0;
 };
 
-/// The concurrent-safe replacement for StreamingQualitySink under a
-/// parallel scoring pass: per-shard replication bitsets and load
-/// counters, merged word-parallel when the quality is read. Each
-/// AssignBatch call leases one shard (spinning over a fixed pool of
-/// try-locks), absorbs the whole batch into it, and releases it — no
-/// shared mutable word is ever touched by two threads at once, so the
-/// scoring pass never serializes on quality bookkeeping.
-///
-/// Exactness: a replication bit is idempotent and a load is a sum, so
-/// the merged state is independent of which shard saw which edge and
-/// of arrival order. Quality() computes total replicas as the merged
-/// popcount and covered vertices as the count of non-empty rows —
-/// integer-for-integer the state StreamingQualitySink accumulates — and
-/// then applies field-for-field the same floating-point arithmetic, so
-/// the result matches the sequential oracle to the last bit (the
-/// property suite asserts exact equality).
-class ShardedQualitySink : public AssignmentSink {
- public:
-  ShardedQualitySink(uint32_t num_partitions, uint32_t num_shards);
-
-  void Assign(const Edge& edge, PartitionId partition) override {
-    const Assignment one{edge, partition};
-    AssignBatch(&one, 1);
-  }
-
-  void AssignBatch(const Assignment* batch, size_t count) override;
-
-  bool ConcurrentSafe() const override { return true; }
-
-  /// Merged quality over everything assigned so far. Not thread-safe
-  /// against concurrent AssignBatch calls: call after the pass ends.
-  PartitionQuality Quality() const;
-
-  uint64_t StateBytes() const override;
-
-  uint32_t num_shards() const {
-    return static_cast<uint32_t>(shards_.size());
-  }
-
- private:
-  /// One worker's private slice of the replication state. The bitset is
-  /// vertex-major like ReplicationTable (row v = k bits at v*k), grown
-  /// lazily, so the merge is a straight word-wise OR.
-  struct Shard {
-    std::atomic<bool> in_use{false};
-    DenseBitset bits;
-    std::vector<uint64_t> loads;
-    VertexId num_vertices = 0;
-  };
-
-  const uint32_t num_partitions_;
-  std::vector<std::unique_ptr<Shard>> shards_;
-};
+/// Publishes a run's final replication factor and max-load skew to
+/// the `quality.*` gauges (and, when tracing, counter events) that
+/// StreamingQualitySink samples mid-stream. RunPartitioner calls it
+/// once per run, so the gauges hold the final quality whichever
+/// source computed it.
+void PublishQualityGauges(const PartitionQuality& quality);
 
 /// Decouples a parallel scoring pass from sequential sink consumers
-/// (validation, spill writers, materialization) with a bounded handoff
-/// queue: producers enqueue assignment chunks from any thread; a
-/// dedicated drainer thread delivers them downstream one chunk at a
-/// time, so the downstream sinks keep their single-threaded contract
+/// (validation, spill writers, materialization, a quality sink) with a
+/// bounded handoff queue: producers enqueue assignment chunks from any
+/// thread; a dedicated drainer thread delivers them downstream one
+/// chunk at a time, so the downstream sinks keep their single-threaded contract
 /// while their work overlaps the scoring pass instead of serializing
 /// it. Back-pressure: when the queue is full, producers block until
 /// the drainer frees a slot, bounding memory at O(queue × chunk).
@@ -207,6 +163,10 @@ class ValidatingSink : public AssignmentSink {
       : capacity_(streaming_capacity), loads_(num_partitions, 0) {}
 
   void Assign(const Edge& edge, PartitionId partition) override;
+
+  /// One loop over the batch; latches the same first violation as
+  /// per-edge Assign() calls would.
+  void AssignBatch(const Assignment* batch, size_t count) override;
 
   /// First violation observed while streaming (sticky), OK otherwise.
   const Status& status() const { return status_; }

@@ -1,10 +1,10 @@
-// The parallel pipeline's exactness contracts: the sharded quality
-// sink must agree with the sequential StreamingQualitySink oracle to
-// the last bit under any interleaving, the async handoff must deliver
-// every assignment (in order for a single producer), and the parallel
-// clustering pass must be byte-identical to the sequential Algorithm 1
-// when inline (threads=1). The concurrent tests double as the tsan
-// hammer for the sink protocol.
+// The parallel pipeline's exactness contracts: the async handoff must
+// deliver every assignment (in order for a single producer) and surface
+// downstream failures, the runner's threads>1 quality must match the
+// sequential run to the last bit, and the parallel clustering pass must
+// be byte-identical to the sequential Algorithm 1 when inline
+// (threads=1). The concurrent tests double as the tsan hammer for the
+// sink protocol.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -50,8 +50,7 @@ std::vector<Edge> MakeFamily(const std::string& family) {
   return GenerateErdosRenyi(config);
 }
 
-/// Materializes the assignment stream so the same decisions can be fed
-/// to both quality sinks.
+/// Materializes the assignment stream in delivery order.
 class RecordingSink : public AssignmentSink {
  public:
   void Assign(const Edge& edge, PartitionId partition) override {
@@ -63,37 +62,6 @@ class RecordingSink : public AssignmentSink {
   std::vector<Assignment> assignments_;
 };
 
-/// Feeds the recorded stream to a ShardedQualitySink from
-/// `num_threads` concurrent producers (work-stealing over fixed
-/// chunks, so the shard interleaving differs run to run) and returns
-/// the merged quality.
-PartitionQuality FeedSharded(const std::vector<Assignment>& assignments,
-                             uint32_t k, uint32_t num_threads) {
-  ShardedQualitySink sink(k, num_threads);
-  constexpr size_t kChunk = 512;
-  const size_t num_chunks = (assignments.size() + kChunk - 1) / kChunk;
-  std::atomic<size_t> next_chunk{0};
-  std::vector<std::thread> producers;
-  producers.reserve(num_threads);
-  for (uint32_t t = 0; t < num_threads; ++t) {
-    producers.emplace_back([&]() {
-      for (;;) {
-        const size_t c = next_chunk.fetch_add(1);
-        if (c >= num_chunks) {
-          return;
-        }
-        const size_t lo = c * kChunk;
-        const size_t hi = std::min(assignments.size(), lo + kChunk);
-        sink.AssignBatch(assignments.data() + lo, hi - lo);
-      }
-    });
-  }
-  for (std::thread& producer : producers) {
-    producer.join();
-  }
-  return sink.Quality();
-}
-
 void ExpectExactlyEqual(const PartitionQuality& a, const PartitionQuality& b,
                         const std::string& label) {
   EXPECT_EQ(a.replication_factor, b.replication_factor) << label;
@@ -103,59 +71,6 @@ void ExpectExactlyEqual(const PartitionQuality& a, const PartitionQuality& b,
   EXPECT_EQ(a.max_partition_size, b.max_partition_size) << label;
   EXPECT_EQ(a.min_partition_size, b.min_partition_size) << label;
   EXPECT_EQ(a.partition_sizes, b.partition_sizes) << label;
-}
-
-/// The exactness property the runner's parallel path rests on: for the
-/// real assignment stream of each registry partitioner, the sharded
-/// sink fed from 1, 2 or 4 concurrent producers matches the sequential
-/// oracle field for field, bit for bit — replication bits are
-/// idempotent and loads are sums, so the merge is order-independent
-/// and the final arithmetic is shared.
-TEST(ShardedQualitySinkTest, MatchesSequentialOracleExactly) {
-  const std::vector<std::string> partitioners = {
-      "2PS-L", "2PS-HDRF", "HDRF", "DBH", "Greedy", "NE"};
-  const std::vector<std::string> families = {"social", "community",
-                                             "uniform"};
-  const uint32_t k = 8;
-  for (const std::string& family : families) {
-    const std::vector<Edge> edges = MakeFamily(family);
-    for (const std::string& name : partitioners) {
-      auto partitioner = MakePartitioner(name);
-      ASSERT_TRUE(partitioner.ok()) << name;
-      InMemoryEdgeStream stream(edges);
-      PartitionConfig config;
-      config.num_partitions = k;
-      config.exec.threads = 1;
-      RecordingSink recorded;
-      ASSERT_TRUE(
-          (*partitioner)->Partition(stream, config, recorded, nullptr).ok())
-          << name << " on " << family;
-
-      StreamingQualitySink sequential(k);
-      sequential.AssignBatch(recorded.assignments().data(),
-                             recorded.assignments().size());
-      const PartitionQuality oracle = sequential.Quality();
-      for (const uint32_t threads : {1u, 2u, 4u}) {
-        ExpectExactlyEqual(
-            FeedSharded(recorded.assignments(), k, threads), oracle,
-            name + "/" + family + "/t" + std::to_string(threads));
-      }
-    }
-  }
-}
-
-TEST(ShardedQualitySinkTest, EmptyAndSingleAssignment) {
-  ShardedQualitySink empty(4, 2);
-  const PartitionQuality none = empty.Quality();
-  EXPECT_EQ(none.num_edges, 0u);
-  EXPECT_EQ(none.replication_factor, 0.0);
-
-  ShardedQualitySink one(4, 2);
-  one.Assign({7, 9}, 2);
-  const PartitionQuality q = one.Quality();
-  EXPECT_EQ(q.num_edges, 1u);
-  EXPECT_EQ(q.num_covered_vertices, 2u);
-  EXPECT_EQ(q.replication_factor, 1.0);
 }
 
 /// A single sequential producer through the handoff must reach the
@@ -263,21 +178,22 @@ TEST(AsyncHandoffSinkTest, HealthyDownstreamStaysHealthy) {
 }
 
 /// The tsan hammer for the runner's threads>1 pipeline shape: four
-/// producers slam a TeeSink fanning to a sharded quality sink and an
-/// async handoff over a sequential counting sink, exactly the
-/// concurrent half of the runner's assembly. Every assignment must be
-/// counted once on both branches.
+/// producers slam one async handoff over a tee of a streaming quality
+/// sink and a counting sink, exactly the runner's assembly for a
+/// partitioner that does not report its own quality. Every assignment
+/// must reach both sinks once.
 TEST(ParallelPipelineTest, ConcurrentProducersThroughTeeAndHandoff) {
   const uint32_t k = 16;
   constexpr uint32_t kProducers = 4;
   constexpr uint32_t kChunksPerProducer = 64;
   constexpr uint32_t kChunkSize = 384;
 
-  ShardedQualitySink sharded(k, kProducers);
+  StreamingQualitySink quality(k);
   CountingSink counting(k);
-  AsyncHandoffSink handoff(&counting, /*max_queued_chunks=*/8);
-  TeeSink tee{&sharded, &handoff};
-  ASSERT_TRUE(tee.ConcurrentSafe());
+  TeeSink consumers{&quality, &counting};
+  ASSERT_FALSE(consumers.ConcurrentSafe());
+  AsyncHandoffSink handoff(&consumers, /*max_queued_chunks=*/8);
+  ASSERT_TRUE(handoff.ConcurrentSafe());
 
   std::vector<std::thread> producers;
   for (uint32_t t = 0; t < kProducers; ++t) {
@@ -289,7 +205,7 @@ TEST(ParallelPipelineTest, ConcurrentProducersThroughTeeAndHandoff) {
           chunk[i] = {{n % 1024, (n / 2) % 1024},
                       static_cast<PartitionId>(n % k)};
         }
-        tee.AssignBatch(chunk.data(), chunk.size());
+        handoff.AssignBatch(chunk.data(), chunk.size());
       }
     });
   }
@@ -301,14 +217,15 @@ TEST(ParallelPipelineTest, ConcurrentProducersThroughTeeAndHandoff) {
   const uint64_t expected =
       uint64_t{kProducers} * kChunksPerProducer * kChunkSize;
   EXPECT_EQ(counting.total(), expected);
-  EXPECT_EQ(sharded.Quality().num_edges, expected);
+  EXPECT_EQ(quality.Quality().num_edges, expected);
+  EXPECT_EQ(quality.loads(), counting.loads());
 }
 
 /// End-to-end exactness through RunPartitioner: NE's assignment stream
 /// is identical at any thread count (the parallel adjacency build is a
-/// stable counting sort), so the threads=4 run — which scores through
-/// the sharded sink and validates through the async handoff — must
-/// reproduce the threads=1 quality to the last bit.
+/// stable counting sort), so the threads=4 run — whose quality sink
+/// and validation sit behind the async handoff — must reproduce the
+/// threads=1 quality to the last bit.
 TEST(ParallelPipelineTest, RunnerParallelQualityMatchesSequentialForNe) {
   RmatConfig rmat;
   rmat.scale = 12;
@@ -337,7 +254,7 @@ TEST(ParallelPipelineTest, RunnerParallelQualityMatchesSequentialForNe) {
 }
 
 /// The parallel 2PS-L partitioner through the full threads=4 runner
-/// pipeline (sharded quality + handoff validation) must still satisfy
+/// pipeline (its own quality + handoff validation) must still satisfy
 /// the partitioning contract on a real pool.
 TEST(ParallelPipelineTest, RunnerParallel2pslSatisfiesContract) {
   RmatConfig rmat;

@@ -2,7 +2,9 @@
 
 #include <vector>
 
+#include "baselines/hdrf.h"
 #include "graph/in_memory_edge_stream.h"
+#include "obs/metrics.h"
 #include "partition/assignment_sink.h"
 #include "partition/metrics.h"
 #include "partition/partitioner.h"
@@ -188,6 +190,51 @@ TEST(ValidatingSinkTest, FinishChecksTotalsAndLateCapacity) {
   EXPECT_EQ(sink.total(), 3u);
 }
 
+TEST(ValidatingSinkTest, BatchLatchesTheSameFirstViolationAsPerEdge) {
+  // Partition 1 overflows first (4th assignment), partition 0 later:
+  // the batch path must latch partition 1's message and keep it.
+  const std::vector<Assignment> batch = {
+      {{0, 1}, 1}, {{1, 2}, 1}, {{2, 3}, 0}, {{3, 4}, 1},
+      {{4, 5}, 0}, {{5, 6}, 0}, {{6, 7}, 1}};
+  ValidatingSink per_edge(2, /*streaming_capacity=*/2);
+  for (const Assignment& a : batch) {
+    per_edge.Assign(a.edge, a.partition);
+  }
+  ValidatingSink batched(2, /*streaming_capacity=*/2);
+  batched.AssignBatch(batch.data(), 3);
+  EXPECT_TRUE(batched.status().ok());
+  batched.AssignBatch(batch.data() + 3, batch.size() - 3);
+  EXPECT_EQ(batched.status().code(), StatusCode::kFailedPrecondition);
+  EXPECT_EQ(batched.status().ToString(), per_edge.status().ToString());
+  EXPECT_EQ(batched.loads(), per_edge.loads());
+  // Later batches neither clear nor replace the latched violation.
+  batched.AssignBatch(batch.data(), batch.size());
+  EXPECT_EQ(batched.status().ToString(), per_edge.status().ToString());
+}
+
+TEST(MetricsTest, QualityFromTalliesMatchesOracle) {
+  // Same partitioning as QualityOfKnownPartitioning: 5 replicas over 4
+  // covered vertices, loads {3, 1}.
+  const std::vector<std::vector<Edge>> parts = {
+      {{0, 1}, {1, 2}, {2, 0}},
+      {{2, 3}},
+  };
+  const PartitionQuality oracle = ComputeQuality(parts);
+  const PartitionQuality tallied = QualityFromTallies(5, 4, {3, 1});
+  EXPECT_EQ(tallied.replication_factor, oracle.replication_factor);
+  EXPECT_EQ(tallied.measured_alpha, oracle.measured_alpha);
+  EXPECT_EQ(tallied.num_edges, oracle.num_edges);
+  EXPECT_EQ(tallied.num_covered_vertices, oracle.num_covered_vertices);
+  EXPECT_EQ(tallied.max_partition_size, oracle.max_partition_size);
+  EXPECT_EQ(tallied.min_partition_size, oracle.min_partition_size);
+  EXPECT_EQ(tallied.partition_sizes, oracle.partition_sizes);
+
+  const PartitionQuality empty = QualityFromTallies(0, 0, {0, 0, 0});
+  EXPECT_EQ(empty.replication_factor, 0.0);
+  EXPECT_EQ(empty.measured_alpha, 0.0);
+  EXPECT_EQ(empty.partition_sizes, std::vector<uint64_t>(3, 0));
+}
+
 TEST(MetricsTest, QualityOfKnownPartitioning) {
   // Partition 0: triangle {0,1,2}; partition 1: edge {2,3}.
   // Covers: |{0,1,2}| + |{2,3}| = 5; covered vertices = 4 -> RF 1.25.
@@ -317,6 +364,49 @@ TEST(RunnerTest, SinkStateCountsTowardStateBytes) {
   // Opting into materialization must show up in the accounting.
   EXPECT_GT(kept->stats.state_bytes,
             streaming->stats.state_bytes + 200 * sizeof(Edge) - 1);
+}
+
+/// A partitioner that reports its own quality leaves no sink-side
+/// replica table: with validation off and no spill, the run's state is
+/// exactly the partitioner's, and the quality and the quality gauges
+/// come from the partitioner's final state.
+TEST(RunnerTest, ReportingPartitionerKeepsNoShadowTable) {
+  std::vector<Edge> edges;
+  for (uint32_t i = 0; i < 500; ++i) {
+    edges.push_back(Edge{i % 97, (i * 7 + 3) % 101});
+  }
+  PartitionConfig config;
+  config.num_partitions = 4;
+  config.exec.threads = 1;
+
+  HdrfPartitioner direct_partitioner;
+  ASSERT_TRUE(direct_partitioner.reports_quality());
+  InMemoryEdgeStream stream_a(edges);
+  CountingSink counting(4);
+  PartitionStats direct;
+  ASSERT_TRUE(
+      direct_partitioner.Partition(stream_a, config, counting, &direct).ok());
+  ASSERT_TRUE(direct.quality.has_value());
+  EXPECT_EQ(direct.quality->partition_sizes, counting.loads());
+
+  obs::Gauge* rf_gauge = obs::MetricsRegistry::Default().GetGauge(
+      "quality.replication_factor");
+  obs::Gauge* skew_gauge =
+      obs::MetricsRegistry::Default().GetGauge("quality.max_load_skew");
+  rf_gauge->Reset();
+  skew_gauge->Reset();
+  HdrfPartitioner run_partitioner;
+  InMemoryEdgeStream stream_b(edges);
+  RunOptions options;
+  options.validate = false;
+  auto run = RunPartitioner(run_partitioner, stream_b, config, options);
+  ASSERT_TRUE(run.ok()) << run.status().ToString();
+  EXPECT_EQ(run->stats.state_bytes, direct.state_bytes);
+  EXPECT_EQ(run->quality.replication_factor,
+            direct.quality->replication_factor);
+  EXPECT_EQ(run->quality.partition_sizes, direct.quality->partition_sizes);
+  EXPECT_EQ(rf_gauge->Value(), run->quality.replication_factor);
+  EXPECT_EQ(skew_gauge->Value(), run->quality.measured_alpha);
 }
 
 /// Stream whose pass "fails" after a few edges: Next() returns 0 and

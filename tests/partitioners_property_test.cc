@@ -5,9 +5,11 @@
 #include <vector>
 
 #include "baselines/registry.h"
+#include "exec/thread_pool.h"
 #include "graph/generators.h"
 #include "graph/in_memory_edge_stream.h"
 #include "partition/runner.h"
+#include "util/random.h"
 
 namespace tpsl {
 namespace {
@@ -113,43 +115,127 @@ TEST_P(PartitionerContractTest, DeterministicUnderFixedSeed) {
   EXPECT_EQ(sink_a.partitions(), sink_b.partitions()) << name;
 }
 
-TEST_P(PartitionerContractTest, StreamingQualityMatchesOracleExactly) {
-  // The runner's default quality now comes from StreamingQualitySink
-  // (online loads + replication bitsets, no edge lists). ComputeQuality
-  // over the materialized partitions of the SAME run is the
-  // independent oracle; the two must agree bit for bit — same integer
-  // tallies, same double arithmetic — for every registry partitioner
-  // on every graph family and k. (DNE is scheduling-dependent across
-  // runs, but oracle and sink observe one identical run here.)
-  const auto& [name, kind, k] = GetParam();
+/// A 4-worker pool shared by the threads=4 runs, so they get real
+/// concurrency whatever the host's core count.
+exec::ThreadPool& FourWorkerPool() {
+  static exec::ThreadPool pool(4);
+  return pool;
+}
+
+/// Runs `name` through RunPartitioner at `threads` with the partitions
+/// kept, and holds the run's quality to ComputeQuality over the SAME
+/// run's partitions: the two must agree bit for bit — same integer
+/// tallies, same double arithmetic. The run's quality comes from the
+/// partitioner's own replica state when it reports one, from the
+/// streaming quality sink otherwise; both must match. (Scheduling-
+/// dependent partitioners differ across runs, but oracle and quality
+/// observe one identical run here.)
+void ExpectRunQualityMatchesOracle(const std::string& name, GraphKind kind,
+                                   uint32_t k, uint32_t threads) {
   auto partitioner_or = MakePartitioner(name);
   ASSERT_TRUE(partitioner_or.ok());
+  const std::string label = name + "/" + GraphKindName(kind) + "/k" +
+                            std::to_string(k) + "/t" +
+                            std::to_string(threads);
 
   const std::vector<Edge> edges = MakeGraph(kind);
   InMemoryEdgeStream stream(edges);
   PartitionConfig config;
   config.num_partitions = k;
+  config.exec.threads = threads;
+  if (threads > 1) {
+    config.exec.pool = &FourWorkerPool();
+  }
   RunOptions options;
   options.keep_partitions = true;
 
   auto result = RunPartitioner(**partitioner_or, stream, config, options);
-  ASSERT_TRUE(result.ok()) << name << ": " << result.status().ToString();
+  ASSERT_TRUE(result.ok()) << label << ": " << result.status().ToString();
+  EXPECT_EQ(result->stats.quality.has_value(),
+            (*partitioner_or)->reports_quality())
+      << label;
 
   const PartitionQuality oracle = ComputeQuality(result->partitions);
-  EXPECT_DOUBLE_EQ(result->quality.replication_factor,
-                   oracle.replication_factor)
-      << name;
-  EXPECT_DOUBLE_EQ(result->quality.measured_alpha, oracle.measured_alpha)
-      << name;
-  EXPECT_EQ(result->quality.num_edges, oracle.num_edges) << name;
+  EXPECT_EQ(result->quality.replication_factor, oracle.replication_factor)
+      << label;
+  EXPECT_EQ(result->quality.measured_alpha, oracle.measured_alpha) << label;
+  EXPECT_EQ(result->quality.num_edges, oracle.num_edges) << label;
   EXPECT_EQ(result->quality.num_covered_vertices,
             oracle.num_covered_vertices)
-      << name;
+      << label;
   EXPECT_EQ(result->quality.max_partition_size, oracle.max_partition_size)
-      << name;
+      << label;
   EXPECT_EQ(result->quality.min_partition_size, oracle.min_partition_size)
-      << name;
-  EXPECT_EQ(result->quality.partition_sizes, oracle.partition_sizes) << name;
+      << label;
+  EXPECT_EQ(result->quality.partition_sizes, oracle.partition_sizes)
+      << label;
+}
+
+TEST_P(PartitionerContractTest, StreamingQualityMatchesOracleExactly) {
+  const auto& [name, kind, k] = GetParam();
+  for (const uint32_t threads : {1u, 4u}) {
+    ExpectRunQualityMatchesOracle(name, kind, k, threads);
+  }
+}
+
+/// The parallel 2PS cores report quality from their shared atomic bit
+/// matrix; at threads=4 that matrix is written by concurrent workers,
+/// and it must still equal the oracle over the delivered edges.
+TEST(ParallelCoreQualityTest, MatchesOracleExactlyAtOneAndFourThreads) {
+  for (const char* name : {"2PS-L(par)", "2PS-HDRF(par)"}) {
+    for (const GraphKind kind : {GraphKind::kSocial, GraphKind::kCommunity,
+                                 GraphKind::kUniform, GraphKind::kTiny}) {
+      for (const uint32_t k : {2u, 5u, 32u}) {
+        for (const uint32_t threads : {1u, 4u}) {
+          ExpectRunQualityMatchesOracle(name, kind, k, threads);
+        }
+      }
+    }
+  }
+}
+
+/// The paper's space claim, state independent of the thread count, as
+/// the runner reports it: 2PS-L(par) at threads=4 must report the same
+/// whole-run state_bytes as at threads=1. The graph is 256 disjoint
+/// 16-vertex components of 64 edges each, one component per 64-edge
+/// batch, so every worker clusters its own component in stream order
+/// and the cluster count (which sizes part of the partitioner's state)
+/// matches the sequential run; any difference left is sink-side state
+/// that grows with the workers.
+TEST(ParallelCoreQualityTest, StateBytesIndependentOfThreadCount) {
+  constexpr uint32_t kComponents = 256;
+  constexpr uint32_t kComponentVertices = 16;
+  constexpr uint32_t kComponentEdges = 64;
+  SplitMix64 rng(7);
+  std::vector<Edge> edges;
+  for (uint32_t c = 0; c < kComponents; ++c) {
+    const VertexId base = c * kComponentVertices;
+    for (uint32_t i = 0; i < kComponentEdges; ++i) {
+      const VertexId u = base + static_cast<VertexId>(
+                                    rng.NextBounded(kComponentVertices));
+      const VertexId v = base + static_cast<VertexId>(
+                                    rng.NextBounded(kComponentVertices));
+      edges.push_back({u, v});
+    }
+  }
+
+  const auto run_state_bytes = [&](uint32_t threads) -> uint64_t {
+    auto partitioner = MakePartitioner("2PS-L(par)");
+    EXPECT_TRUE(partitioner.ok());
+    InMemoryEdgeStream stream(edges);
+    PartitionConfig config;
+    config.num_partitions = 8;
+    config.exec.threads = threads;
+    config.exec.batch_size = kComponentEdges;
+    config.exec.pool = &FourWorkerPool();
+    auto result = RunPartitioner(**partitioner, stream, config);
+    EXPECT_TRUE(result.ok()) << result.status().ToString();
+    return result.ok() ? result->stats.state_bytes : 0;
+  };
+  const uint64_t t1 = run_state_bytes(1);
+  EXPECT_GT(t1, 0u);
+  EXPECT_EQ(run_state_bytes(4), t1);
+  EXPECT_EQ(run_state_bytes(4), t1);
 }
 
 std::string ParamName(const testing::TestParamInfo<ParamType>& info) {
