@@ -32,7 +32,8 @@ Status GreedyPartitioner::Partition(EdgeStream& stream,
       tables.HeapBytes() + degrees.degrees.size() * sizeof(uint32_t);
 
   TPSL_RETURN_IF_ERROR(ForEachEdgePrefetched(
-      stream, [&](const Edge& e) { tables.PrefetchEdge(e); },
+      stream,
+      [&](const Edge& e) TPSL_PREFETCH_STAGE { tables.PrefetchEdge(e); },
       [&](const Edge& e) {
         const PartitionId target = tables.PickGreedy(e);
         tables.Commit(e, target);

@@ -39,7 +39,8 @@ Status HdrfPartitioner::Partition(EdgeStream& stream,
       tables.HeapBytes() + partial_degree.size() * sizeof(uint32_t);
 
   TPSL_RETURN_IF_ERROR(ForEachEdgePrefetched(
-      stream, [&](const Edge& e) { tables.PrefetchEdge(e); },
+      stream,
+      [&](const Edge& e) TPSL_PREFETCH_STAGE { tables.PrefetchEdge(e); },
       [&](const Edge& e) {
         ++partial_degree[e.first];
         ++partial_degree[e.second];

@@ -37,10 +37,22 @@ class AtomicReplicationBits {
            1;
   }
 
+  /// Bits only go from 0 to 1, so a bit already set needs no
+  /// lock-prefixed RMW; after warm-up most commits find both bits set.
   void Set(VertexId v, PartitionId p) {
     const uint64_t bit = Index(v, p);
-    words_[bit >> 6].fetch_or(uint64_t{1} << (bit & 63),
-                              std::memory_order_relaxed);
+    const uint64_t mask = uint64_t{1} << (bit & 63);
+    std::atomic<uint64_t>& word = words_[bit >> 6];
+    if ((word.load(std::memory_order_relaxed) & mask) == 0) {
+      word.fetch_or(mask, std::memory_order_relaxed);
+    }
+  }
+
+  /// Pulls the word holding vertex v's first replica bit toward the
+  /// cache.
+  void PrefetchRow(VertexId v) const {
+    __builtin_prefetch(words_.data() + (Index(v, 0) >> 6), /*rw=*/0,
+                       /*locality=*/3);
   }
 
   uint64_t HeapBytes() const {
@@ -101,8 +113,6 @@ bool TryClaim(std::atomic<uint64_t>& load, uint64_t capacity) {
 
 struct SharedState {
   const DegreeTable* degrees;
-  const Clustering* clustering;
-  const ClusterSchedule* schedule;
   AtomicReplicationBits* replicas;
   std::vector<std::atomic<uint64_t>>* loads;
   uint64_t capacity;
@@ -112,10 +122,12 @@ struct SharedState {
   /// Claims a partition for `e`: `preferred`, then the sequential
   /// algorithm's overflow chain — degree-hash on the higher-degree
   /// endpoint, then least-loaded. The chain matches
-  /// TwoPhasePartitioner's Phase2Context::OverflowTarget step for
-  /// step, so a single-threaded run makes identical decisions; the
-  /// CAS retry loop only matters under concurrency. Always succeeds
-  /// while total capacity remains (k * capacity >= |E|).
+  /// TwoPhasePartitioner's OverflowTarget step for step, so a
+  /// single-threaded run makes identical decisions; the CAS retry loop
+  /// only matters under concurrency. Returns kInvalidPartition only
+  /// when every partition is at capacity, which k * capacity >= |E|
+  /// rules out unless the stream delivers more edges than its degree
+  /// pass counted.
   PartitionId ClaimWithOverflow(const Edge& e, PartitionId preferred) const {
     if (TryClaim((*loads)[preferred], capacity)) {
       return preferred;
@@ -130,8 +142,7 @@ struct SharedState {
       return hashed;
     }
     // Last resort, as in the sequential algorithm: the least-loaded
-    // partition (re-scanned on CAS failure; some partition is always
-    // open while edges remain).
+    // partition, re-scanned on CAS failure until none has room.
     for (;;) {
       PartitionId best = 0;
       uint64_t best_load = (*loads)[0].load(std::memory_order_relaxed);
@@ -141,6 +152,9 @@ struct SharedState {
           best = p;
           best_load = load;
         }
+      }
+      if (best_load >= capacity) {
+        return kInvalidPartition;
       }
       if (TryClaim((*loads)[best], capacity)) {
         return best;
@@ -155,16 +169,22 @@ struct SharedState {
 };
 
 /// Runs one engine-driven pass over the stream: ParallelForEdges pulls
-/// batches and fans them out; workers process them via `process(edge)`
-/// returning the chosen partition or kInvalidPartition to skip.
-/// Assignments are flushed batch-at-a-time through the batched sink
-/// protocol: a ConcurrentSafe pipeline (the runner's threads>1
-/// assembly) absorbs batches lock-free from every worker; anything
-/// else is serialized under a mutex, as before.
-template <typename ProcessFn>
+/// batches and fans them out, and each worker runs its batch through
+/// ForEachEdgeTwoStage with the pass's `far` and `near` prefetch
+/// stages. `choose(edge)` returns the edge's preferred partition, or
+/// kInvalidPartition when the other pass owns it; the worker then
+/// claims a partition with overflow and commits the edge. `assigned`
+/// tallies the pass's edges with one add per batch. Assignments are
+/// flushed batch-at-a-time through the batched sink protocol: a
+/// ConcurrentSafe pipeline (the runner's threads>1 assembly) absorbs
+/// batches lock-free from every worker; anything else is serialized
+/// under a mutex.
+template <typename FarFn, typename NearFn, typename ChooseFn>
 Status ParallelPass(EdgeStream& stream, exec::ThreadPool& pool,
                     uint32_t workers, uint32_t batch_size,
-                    AssignmentSink& sink, const ProcessFn& process) {
+                    const SharedState& shared, AssignmentSink& sink,
+                    const FarFn& far, const NearFn& near,
+                    const ChooseFn& choose, std::atomic<uint64_t>& assigned) {
   std::mutex sink_mutex;
   const bool concurrent_sink = sink.ConcurrentSafe();
   exec::ParallelForEdgesOptions options;
@@ -176,12 +196,27 @@ Status ParallelPass(EdgeStream& stream, exec::ThreadPool& pool,
         obs::TraceSpan span("score.batch", "partition");
         std::vector<Assignment> results;
         results.reserve(count);
-        for (size_t i = 0; i < count; ++i) {
-          const PartitionId p = process(edges[i]);
-          if (p != kInvalidPartition) {
-            results.push_back({edges[i], p});
+        bool full = false;
+        ForEachEdgeTwoStage(edges, count, far, near, [&](const Edge& e) {
+          const PartitionId preferred = choose(e);
+          if (preferred == kInvalidPartition) {
+            return;
           }
+          const PartitionId target = shared.ClaimWithOverflow(e, preferred);
+          if (target == kInvalidPartition) {
+            full = true;
+            return;
+          }
+          shared.Commit(e, target);
+          results.push_back({e, target});
+        });
+        ScoredEdgesCounter()->Add(count);
+        if (full) {
+          return Status::Internal(
+              "every partition is at capacity: the stream delivered more "
+              "edges than its degree pass counted");
         }
+        assigned.fetch_add(results.size(), std::memory_order_relaxed);
         if (!results.empty()) {
           if (concurrent_sink) {
             sink.AssignBatch(results.data(), results.size());
@@ -190,7 +225,6 @@ Status ParallelPass(EdgeStream& stream, exec::ThreadPool& pool,
             sink.AssignBatch(results.data(), results.size());
           }
         }
-        ScoredEdgesCounter()->Add(count);
         return Status::OK();
       });
 }
@@ -245,8 +279,6 @@ Status ParallelTwoPhasePartitioner::Partition(EdgeStream& stream,
 
   SharedState shared;
   shared.degrees = &degrees;
-  shared.clustering = &clustering;
-  shared.schedule = &schedule;
   shared.replicas = &replicas;
   shared.loads = &loads;
   shared.capacity = config.PartitionCapacity(degrees.num_edges);
@@ -265,88 +297,128 @@ Status ParallelTwoPhasePartitioner::Partition(EdgeStream& stream,
   std::atomic<uint64_t> prepartitioned{0};
   std::atomic<uint64_t> remaining{0};
 
-  // Pass A: pre-partition co-located edges.
+  // Both passes prefetch in two stages (ForEachEdgeTwoStage): the far
+  // stage the rows indexed by vertex id, the near stage the rows
+  // indexed by the endpoints' cluster ids, which the far stage cached.
+  const ClusterId* vertex_cluster = clustering.vertex_cluster.data();
+  const PartitionId* cluster_partition = schedule.cluster_partition.data();
+  const uint64_t* cluster_volumes = clustering.cluster_volumes.data();
+  const uint32_t* degree_data = degrees.degrees.data();
+
+  // Pass A: pre-partition co-located edges. It reads replica rows only
+  // for the edges it commits, so its near stage prefetches them only
+  // where the cluster ids already show a commit (both endpoints in one
+  // cluster), not for every edge.
   TPSL_RETURN_IF_ERROR(ParallelPass(
-      stream, pool, workers, batch_size, sink,
+      stream, pool, workers, batch_size, shared, sink,
+      [&](const Edge& e) TPSL_PREFETCH_STAGE {
+        PrefetchRead(vertex_cluster + e.first);
+        PrefetchRead(vertex_cluster + e.second);
+      },
+      [&](const Edge& e) TPSL_PREFETCH_STAGE {
+        const ClusterId c1 = vertex_cluster[e.first];
+        const ClusterId c2 = vertex_cluster[e.second];
+        PrefetchRead(cluster_partition + c1);
+        PrefetchRead(cluster_partition + c2);
+        if (c1 == c2) {
+          replicas.PrefetchRow(e.first);
+          replicas.PrefetchRow(e.second);
+        }
+      },
       [&](const Edge& e) -> PartitionId {
-        const ClusterId c1 = clustering.vertex_cluster[e.first];
-        const ClusterId c2 = clustering.vertex_cluster[e.second];
-        const PartitionId p1 = schedule.cluster_partition[c1];
-        const PartitionId p2 = schedule.cluster_partition[c2];
+        const ClusterId c1 = vertex_cluster[e.first];
+        const ClusterId c2 = vertex_cluster[e.second];
+        const PartitionId p1 = cluster_partition[c1];
+        const PartitionId p2 = cluster_partition[c2];
         if (c1 != c2 && p1 != p2) {
           return kInvalidPartition;  // Scoring pass handles it.
         }
-        const PartitionId target = shared.ClaimWithOverflow(e, p1);
-        shared.Commit(e, target);
-        prepartitioned.fetch_add(1, std::memory_order_relaxed);
-        return target;
-      }));
+        return p1;
+      },
+      prepartitioned));
   out.stream_passes += 1;
 
   // Pass B: score the remaining edges — on their two candidates
   // (kLinear) or on all k partitions with HDRF scoring (kHdrf; the
   // expensive regime where the worker pool actually pays off).
   const bool linear = options_.scoring == ScoringMode::kLinear;
+  const bool volume_term = linear && shared.use_volume_term;
   const double lambda = options_.hdrf_lambda;
   TPSL_RETURN_IF_ERROR(ParallelPass(
-      stream, pool, workers, batch_size, sink,
+      stream, pool, workers, batch_size, shared, sink,
+      [&](const Edge& e) TPSL_PREFETCH_STAGE {
+        PrefetchRead(vertex_cluster + e.first);
+        PrefetchRead(vertex_cluster + e.second);
+        PrefetchRead(degree_data + e.first);
+        PrefetchRead(degree_data + e.second);
+        replicas.PrefetchRow(e.first);
+        replicas.PrefetchRow(e.second);
+      },
+      [&](const Edge& e) TPSL_PREFETCH_STAGE {
+        const ClusterId c1 = vertex_cluster[e.first];
+        const ClusterId c2 = vertex_cluster[e.second];
+        PrefetchRead(cluster_partition + c1);
+        PrefetchRead(cluster_partition + c2);
+        if (volume_term) {
+          PrefetchRead(cluster_volumes + c1);
+          PrefetchRead(cluster_volumes + c2);
+        }
+      },
       [&](const Edge& e) -> PartitionId {
-        const ClusterId c1 = clustering.vertex_cluster[e.first];
-        const ClusterId c2 = clustering.vertex_cluster[e.second];
-        const PartitionId p1 = schedule.cluster_partition[c1];
-        const PartitionId p2 = schedule.cluster_partition[c2];
+        const ClusterId c1 = vertex_cluster[e.first];
+        const ClusterId c2 = vertex_cluster[e.second];
+        const PartitionId p1 = cluster_partition[c1];
+        const PartitionId p2 = cluster_partition[c2];
         if (c1 == c2 || p1 == p2) {
           return kInvalidPartition;  // Already pre-partitioned.
         }
-        const uint32_t du = degrees.degree(e.first);
-        const uint32_t dv = degrees.degree(e.second);
-        PartitionId preferred;
+        const uint32_t du = degree_data[e.first];
+        const uint32_t dv = degree_data[e.second];
         if (linear) {
           // Shared kernel helper, instantiated over the atomic replica
           // view; the formula and tie-break are the sequential core's,
           // so a threads=1 run makes identical decisions.
-          const uint64_t vol1 =
-              shared.use_volume_term ? clustering.cluster_volumes[c1] : 0;
-          const uint64_t vol2 =
-              shared.use_volume_term ? clustering.cluster_volumes[c2] : 0;
-          preferred =
-              PickTwoPhaseLinear(replicas, e, du, dv, vol1, vol2, p1, p2);
-        } else {
-          // HDRF over all k with relaxed (stale-tolerant) load reads.
-          const uint32_t k = static_cast<uint32_t>(loads.size());
-          uint64_t max_load = 0;
-          uint64_t min_load = UINT64_MAX;
-          for (const auto& load : loads) {
-            const uint64_t value = load.load(std::memory_order_relaxed);
-            max_load = std::max(max_load, value);
-            min_load = std::min(min_load, value);
-          }
-          double best_score = -1.0;
-          preferred = 0;
-          for (PartitionId p = 0; p < k; ++p) {
-            // Re-reads may exceed the max snapshot under concurrency;
-            // clamp so the balance term never underflows.
-            const uint64_t load = std::min(
-                loads[p].load(std::memory_order_relaxed), max_load);
-            const double score =
-                HdrfReplicationScore(replicas.Test(e.first, p),
-                                     replicas.Test(e.second, p), du, dv) +
-                HdrfBalanceScore(load, max_load, min_load, lambda);
-            if (score > best_score) {
-              best_score = score;
-              preferred = p;
-            }
+          const uint64_t vol1 = volume_term ? cluster_volumes[c1] : 0;
+          const uint64_t vol2 = volume_term ? cluster_volumes[c2] : 0;
+          return PickTwoPhaseLinear(replicas, e, du, dv, vol1, vol2, p1, p2);
+        }
+        // HDRF over all k with relaxed (stale-tolerant) load reads.
+        const uint32_t k = static_cast<uint32_t>(loads.size());
+        uint64_t max_load = 0;
+        uint64_t min_load = UINT64_MAX;
+        for (const auto& load : loads) {
+          const uint64_t value = load.load(std::memory_order_relaxed);
+          max_load = std::max(max_load, value);
+          min_load = std::min(min_load, value);
+        }
+        double best_score = -1.0;
+        PartitionId preferred = 0;
+        for (PartitionId p = 0; p < k; ++p) {
+          // Re-reads may exceed the max snapshot under concurrency;
+          // clamp so the balance term never underflows.
+          const uint64_t load =
+              std::min(loads[p].load(std::memory_order_relaxed), max_load);
+          const double score =
+              HdrfReplicationScore(replicas.Test(e.first, p),
+                                   replicas.Test(e.second, p), du, dv) +
+              HdrfBalanceScore(load, max_load, min_load, lambda);
+          if (score > best_score) {
+            best_score = score;
+            preferred = p;
           }
         }
-        const PartitionId target = shared.ClaimWithOverflow(e, preferred);
-        shared.Commit(e, target);
-        remaining.fetch_add(1, std::memory_order_relaxed);
-        return target;
-      }));
+        return preferred;
+      },
+      remaining));
   out.stream_passes += 1;
 
   out.prepartitioned_edges = prepartitioned.load();
   out.remaining_edges = remaining.load();
+  // Each delivered edge belongs to exactly one pass, so the two passes
+  // together must have assigned what the degree pass counted.
+  if (out.prepartitioned_edges + out.remaining_edges != degrees.num_edges) {
+    return Status::Internal("stream size changed between passes");
+  }
   // Every delivered edge claimed exactly one load slot and set its two
   // bits; the passes have joined, so these are the final values.
   std::vector<uint64_t> final_loads(loads.size());

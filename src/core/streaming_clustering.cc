@@ -96,13 +96,11 @@ StatusOr<Clustering> StreamingClustering(EdgeStream& stream,
   // The per-edge random accesses are the v2c rows (and the degree
   // entries behind EnsureCluster); run the passes through the kernel's
   // prefetching driver so those lines are in flight a few edges ahead.
-  const auto prefetch = [&](const Edge& e) {
-    __builtin_prefetch(state.v2c.data() + e.first, /*rw=*/0, /*locality=*/3);
-    __builtin_prefetch(state.v2c.data() + e.second, /*rw=*/0, /*locality=*/3);
-    __builtin_prefetch(degrees.degrees.data() + e.first, /*rw=*/0,
-                       /*locality=*/3);
-    __builtin_prefetch(degrees.degrees.data() + e.second, /*rw=*/0,
-                       /*locality=*/3);
+  const auto prefetch = [&](const Edge& e) TPSL_PREFETCH_STAGE {
+    PrefetchRead(state.v2c.data() + e.first);
+    PrefetchRead(state.v2c.data() + e.second);
+    PrefetchRead(degrees.degrees.data() + e.first);
+    PrefetchRead(degrees.degrees.data() + e.second);
   };
   for (uint32_t pass = 0; pass < config.num_passes; ++pass) {
     TPSL_RETURN_IF_ERROR(ForEachEdgePrefetched(
@@ -242,22 +240,34 @@ StatusOr<Clustering> ParallelStreamingClustering(
   options.batch_size = exec.batch_size;
   options.workers = exec.ResolveThreads();
   exec::ThreadPool& pool = exec.pool_or_global();
+  const std::atomic<ClusterId>* v2c = state.v2c.data();
+  const std::atomic<uint64_t>* vol = state.vol.data();
+  const uint32_t* degree_data = degrees.degrees.data();
   for (uint32_t pass = 0; pass < config.num_passes; ++pass) {
     TPSL_RETURN_IF_ERROR(exec::ParallelForEdges(
         stream, pool, options,
-        [&state](const Edge* edges, size_t count) -> Status {
-          // In-batch software prefetch: the random accesses are the
-          // v2c/vol rows of both endpoints a few edges ahead, same
-          // distance as the sequential kernel driver.
-          constexpr size_t kPrefetchDistance = 8;
-          for (size_t i = 0; i < count; ++i) {
-            if (i + kPrefetchDistance < count) {
-              const Edge& ahead = edges[i + kPrefetchDistance];
-              __builtin_prefetch(state.v2c.data() + ahead.first, 0, 3);
-              __builtin_prefetch(state.v2c.data() + ahead.second, 0, 3);
-            }
-            state.ProcessEdge(edges[i]);
-          }
+        [&](const Edge* edges, size_t count) -> Status {
+          // Two-stage in-batch prefetch: the far stage pulls both
+          // endpoints' v2c and degree rows, the near stage reads the
+          // cluster labels and pulls their vol rows. An unlabeled
+          // vertex founds the cluster labeled with its own id.
+          ForEachEdgeTwoStage(
+              edges, count,
+              [&](const Edge& e) TPSL_PREFETCH_STAGE {
+                PrefetchRead(v2c + e.first);
+                PrefetchRead(v2c + e.second);
+                PrefetchRead(degree_data + e.first);
+                PrefetchRead(degree_data + e.second);
+              },
+              [&](const Edge& e) TPSL_PREFETCH_STAGE {
+                const ClusterId cu =
+                    v2c[e.first].load(std::memory_order_relaxed);
+                const ClusterId cv =
+                    v2c[e.second].load(std::memory_order_relaxed);
+                PrefetchRead(vol + (cu == kInvalidCluster ? e.first : cu));
+                PrefetchRead(vol + (cv == kInvalidCluster ? e.second : cv));
+              },
+              [&state](const Edge& e) { state.ProcessEdge(e); });
           return Status::OK();
         }));
   }

@@ -96,7 +96,9 @@ Status TwoPhasePartitioner::Partition(EdgeStream& stream,
     tables.Commit(e, target);
     sink.Assign(e, target);
   };
-  const auto prefetch = [&](const Edge& e) { tables.PrefetchEdge(e); };
+  const auto prefetch = [&](const Edge& e) TPSL_PREFETCH_STAGE {
+    tables.PrefetchEdge(e);
+  };
 
   // Step 2: pre-partition edges whose endpoints share a cluster or
   // whose clusters are mapped to the same partition (lines 16-26).
@@ -151,6 +153,11 @@ Status TwoPhasePartitioner::Partition(EdgeStream& stream,
       }));
   out.stream_passes += 1;
 
+  // Each delivered edge belongs to exactly one pass, so the two passes
+  // together must have assigned what the degree pass counted.
+  if (out.prepartitioned_edges + out.remaining_edges != degrees.num_edges) {
+    return Status::Internal("stream size changed between passes");
+  }
   out.quality = tables.Quality();
   return Status::OK();
 }

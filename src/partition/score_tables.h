@@ -134,9 +134,6 @@ class ScoreTables {
   }
   uint32_t degree(VertexId v) const { return degrees_[v]; }
   uint64_t cluster_volume(ClusterId c) const { return cluster_volumes_[c]; }
-  void PrefetchDegree(VertexId v) const {
-    __builtin_prefetch(degrees_ + v, /*rw=*/0, /*locality=*/3);
-  }
 
   // --- Score-then-assign helpers (exact legacy arithmetic). ---
 
@@ -264,10 +261,59 @@ inline obs::Counter* ScoredEdgesCounter() {
   return counter;
 }
 
+/// Marks a prefetch stage lambda of ForEachEdgeTwoStage:
+///   [&](const Edge& e) TPSL_PREFETCH_STAGE { ... }
+/// A stage only reads and prefetches, so GCC 12's ipa-modref pass
+/// treats it as side-effect free and deletes every call to it that was
+/// not inlined early: the prefetches silently compile away. Forcing
+/// the stage inline keeps them. The prefetch_codegen_check ctest
+/// checks the 2PS-L core's object files for prefetch instructions.
+#define TPSL_PREFETCH_STAGE __attribute__((always_inline))
+
+/// Read prefetch of the cache line holding `p`, kept at every cache
+/// level. Forced inline for the same reason as the stages.
+TPSL_PREFETCH_STAGE inline void PrefetchRead(const void* p) {
+  __builtin_prefetch(p, /*rw=*/0, /*locality=*/3);
+}
+
+/// Two-stage in-batch prefetch around one in-order pass over
+/// edges[0, n). The scoring loops' random reads come in two levels:
+/// rows indexed by vertex id (cluster id, degree, replica row), and
+/// rows indexed by what those hold (the cluster's partition and
+/// volume). `far(edge)` runs 2·D edges ahead of `process(edge)` and
+/// prefetches the first level; `near(edge)` runs D edges ahead, reads
+/// the first level, which is cached by then, and prefetches the
+/// second (D = kScorePrefetchDistance). `process` sees the edges in
+/// exact order, so the pass decides exactly as a plain loop does. Both
+/// stages may read but never write, and must be TPSL_PREFETCH_STAGE.
+template <typename FarFn, typename NearFn, typename ProcessFn>
+inline void ForEachEdgeTwoStage(const Edge* edges, size_t n, FarFn&& far,
+                                NearFn&& near, ProcessFn&& process) {
+  constexpr size_t kNear = kScorePrefetchDistance;
+  constexpr size_t kFar = 2 * kScorePrefetchDistance;
+  for (size_t i = 0; i < n && i < kFar; ++i) {
+    far(edges[i]);
+  }
+  for (size_t i = 0; i < n && i < kNear; ++i) {
+    near(edges[i]);
+  }
+  for (size_t i = 0; i < n; ++i) {
+    if (i + kFar < n) {
+      far(edges[i + kFar]);
+    }
+    if (i + kNear < n) {
+      near(edges[i + kNear]);
+    }
+    process(edges[i]);
+  }
+}
+
 /// One full pass in stream order — the batched score-then-assign
-/// driver. `prefetch(edge)` is issued kScorePrefetchDistance edges
-/// ahead of `process(edge)`; processing order is exactly stream order,
-/// so the pass is byte-identical to a plain ForEachEdge.
+/// driver. Each 4096-edge batch runs through ForEachEdgeTwoStage with
+/// an empty far stage: `prefetch(edge)` is the near stage, issued
+/// kScorePrefetchDistance edges ahead of `process(edge)`, and must be
+/// TPSL_PREFETCH_STAGE. Processing order is exactly stream order, so
+/// the pass is byte-identical to a plain ForEachEdge.
 template <typename PrefetchFn, typename ProcessFn>
 Status ForEachEdgePrefetched(EdgeStream& stream, PrefetchFn&& prefetch,
                              ProcessFn&& process) {
@@ -277,16 +323,8 @@ Status ForEachEdgePrefetched(EdgeStream& stream, PrefetchFn&& prefetch,
   size_t n;
   while ((n = stream.Next(buffer, kBatch)) > 0) {
     obs::TraceSpan span("score.batch", "partition");
-    const size_t lead = n < kScorePrefetchDistance ? n : kScorePrefetchDistance;
-    for (size_t i = 0; i < lead; ++i) {
-      prefetch(buffer[i]);
-    }
-    for (size_t i = 0; i < n; ++i) {
-      if (i + lead < n) {
-        prefetch(buffer[i + lead]);
-      }
-      process(buffer[i]);
-    }
+    ForEachEdgeTwoStage(
+        buffer, n, [](const Edge&) TPSL_PREFETCH_STAGE {}, prefetch, process);
     ScoredEdgesCounter()->Add(n);
   }
   return stream.Health();

@@ -150,6 +150,38 @@ TEST(StreamingClusteringTest, SelfLoopOnlyGraph) {
   EXPECT_EQ(clustering.cluster_volumes[0], 4u);
 }
 
+/// The engine-driven clustering prefetches in two stages within each
+/// batch; at threads=1 it must match the sequential pass at batch
+/// sizes around the prefetch distance, where the stage prologue and
+/// epilogue run, and with re-streaming.
+TEST(StreamingClusteringTest, ParallelMatchesSequentialAtEveryBatchSize) {
+  RmatConfig rmat;
+  rmat.scale = 11;
+  rmat.edge_factor = 8;
+  const auto edges = GenerateRmat(rmat);
+  InMemoryEdgeStream stream(edges);
+  auto degrees = ComputeDegrees(stream);
+  ASSERT_TRUE(degrees.ok());
+  for (const uint32_t passes : {1u, 2u}) {
+    ClusteringConfig config;
+    config.num_passes = passes;
+    auto sequential = StreamingClustering(stream, *degrees, 8, config);
+    ASSERT_TRUE(sequential.ok());
+    for (const uint32_t batch_size : {1u, 3u, 16u, 17u, 8192u}) {
+      exec::ExecContext exec;
+      exec.threads = 1;
+      exec.batch_size = batch_size;
+      auto parallel =
+          ParallelStreamingClustering(stream, *degrees, 8, config, exec);
+      ASSERT_TRUE(parallel.ok());
+      EXPECT_EQ(parallel->vertex_cluster, sequential->vertex_cluster)
+          << "passes=" << passes << " batch_size=" << batch_size;
+      EXPECT_EQ(parallel->cluster_volumes, sequential->cluster_volumes)
+          << "passes=" << passes << " batch_size=" << batch_size;
+    }
+  }
+}
+
 TEST(ClusterScheduleTest, GrahamAssignsAllClusters) {
   const std::vector<uint64_t> volumes = {10, 8, 7, 3, 3, 2, 2, 1};
   const ClusterSchedule schedule = ScheduleClustersGraham(volumes, 3);

@@ -1,11 +1,17 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstring>
+#include <string>
+#include <utility>
 #include <vector>
 
+#include "baselines/registry.h"
 #include "core/parallel_two_phase.h"
 #include "core/two_phase_partitioner.h"
 #include "exec/thread_pool.h"
 #include "graph/datasets.h"
+#include "graph/generators.h"
 #include "graph/in_memory_edge_stream.h"
 #include "partition/runner.h"
 
@@ -164,6 +170,125 @@ TEST(ParallelTwoPhaseTest, RejectsBadExecConfig) {
   config.exec.batch_size = 0;
   CountingSink sink(config.num_partitions);
   EXPECT_FALSE(partitioner.Partition(stream, config, sink, nullptr).ok());
+}
+
+/// FNV-1a 64 over the (u, v, partition) assignment stream in delivery
+/// order, as in the state kernel identity oracle.
+class DigestSink : public AssignmentSink {
+ public:
+  void Assign(const Edge& edge, PartitionId partition) override {
+    Fold(&edge.first, sizeof(edge.first));
+    Fold(&edge.second, sizeof(edge.second));
+    Fold(&partition, sizeof(partition));
+  }
+  uint64_t digest() const { return state_; }
+
+ private:
+  void Fold(const void* data, size_t bytes) {
+    const unsigned char* p = static_cast<const unsigned char*>(data);
+    for (size_t i = 0; i < bytes; ++i) {
+      state_ ^= p[i];
+      state_ *= 0x100000001b3ULL;
+    }
+  }
+  uint64_t state_ = 0xcbf29ce484222325ULL;
+};
+
+uint64_t AssignmentDigest(const std::string& name,
+                          const std::vector<Edge>& edges,
+                          const PartitionConfig& config) {
+  auto partitioner = MakePartitioner(name);
+  EXPECT_TRUE(partitioner.ok()) << name;
+  InMemoryEdgeStream stream(edges);
+  DigestSink sink;
+  const Status status = (*partitioner)->Partition(stream, config, sink,
+                                                  nullptr);
+  EXPECT_TRUE(status.ok()) << name << ": " << status.ToString();
+  return sink.digest();
+}
+
+/// The two-stage prefetch runs its prologue and epilogue wherever a
+/// batch is shorter than twice the prefetch distance, so batch sizes
+/// around it (1, 3, 16, 17) must decide exactly as the sequential core
+/// does, edge for edge and in the same order.
+TEST(ParallelTwoPhaseTest, SingleThreadMatchesSequentialAtEveryBatchSize) {
+  RmatConfig rmat;
+  rmat.scale = 11;
+  rmat.edge_factor = 8;
+  const std::vector<Edge> edges = GenerateRmat(rmat);
+  const std::pair<const char*, const char*> cores[] = {
+      {"2PS-L(par)", "2PS-L"}, {"2PS-HDRF(par)", "2PS-HDRF"}};
+  for (const auto& [parallel, sequential] : cores) {
+    for (const uint32_t k : {4u, 32u}) {
+      const uint64_t expected =
+          AssignmentDigest(sequential, edges, ConfigWithThreads(k, 1));
+      for (const uint32_t batch_size : {1u, 3u, 16u, 17u, 8192u}) {
+        PartitionConfig config = ConfigWithThreads(k, 1);
+        config.exec.batch_size = batch_size;
+        EXPECT_EQ(AssignmentDigest(parallel, edges, config), expected)
+            << parallel << " k=" << k << " batch_size=" << batch_size;
+      }
+    }
+  }
+}
+
+/// Delivers `first` on the first pass after construction and `later`
+/// on every pass after that — a stream whose size changes between the
+/// degree pass and the partitioning passes.
+class ChangingStream : public EdgeStream {
+ public:
+  ChangingStream(std::vector<Edge> first, std::vector<Edge> later)
+      : first_(std::move(first)), later_(std::move(later)) {}
+
+  Status Reset() override {
+    current_ = passes_++ == 0 ? &first_ : &later_;
+    position_ = 0;
+    return Status::OK();
+  }
+
+  size_t Next(Edge* out, size_t capacity) override {
+    const size_t n = std::min(capacity, current_->size() - position_);
+    std::memcpy(out, current_->data() + position_, n * sizeof(Edge));
+    position_ += n;
+    return n;
+  }
+
+ private:
+  std::vector<Edge> first_;
+  std::vector<Edge> later_;
+  const std::vector<Edge>* current_ = &first_;
+  uint32_t passes_ = 0;
+  size_t position_ = 0;
+};
+
+/// A stream that grows after the degree pass overruns the capacity the
+/// degree count set; one that shrinks leaves edges unassigned. Either
+/// must end in an error, not a hang or a silently short assignment.
+/// tests/CMakeLists.txt gives this suite a TIMEOUT so a hang fails.
+TEST(ParallelTwoPhaseTest, StreamChangingSizeBetweenPassesFails) {
+  std::vector<Edge> base;
+  for (VertexId v = 0; v < 1000; ++v) {
+    base.push_back({v, (v * 7 + 1) % 1000});
+  }
+  std::vector<Edge> doubled = base;
+  doubled.insert(doubled.end(), base.begin(), base.end());
+  const std::pair<std::vector<Edge>, std::vector<Edge>> shapes[] = {
+      {base, doubled}, {doubled, base}};
+  for (const auto& [first, later] : shapes) {
+    for (const char* name : {"2PS-L", "2PS-L(par)", "2PS-HDRF(par)"}) {
+      for (const uint32_t threads : {1u, 4u}) {
+        auto partitioner = MakePartitioner(name);
+        ASSERT_TRUE(partitioner.ok()) << name;
+        ChangingStream stream(first, later);
+        CountingSink sink(4);
+        const Status status = (*partitioner)->Partition(
+            stream, ConfigWithThreads(4, threads), sink, nullptr);
+        EXPECT_FALSE(status.ok())
+            << name << " t" << threads << " first=" << first.size()
+            << " later=" << later.size();
+      }
+    }
+  }
 }
 
 }  // namespace

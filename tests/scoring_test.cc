@@ -1,7 +1,11 @@
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <vector>
+
 #include "core/scoring.h"
 #include "partition/replication_table.h"
+#include "partition/score_tables.h"
 
 namespace tpsl {
 namespace {
@@ -93,6 +97,47 @@ TEST(HdrfScoringTest, BalanceScoreBoundedByLambda) {
 TEST(HdrfScoringTest, ZeroDegreesAreSafe) {
   // Degenerate but must not divide by zero.
   EXPECT_DOUBLE_EQ(HdrfReplicationScore(true, false, 0, 0), 1.0);
+}
+
+/// The two-stage prefetch loop at every batch length around its
+/// distances: each edge gets its far stage, then its near stage, then
+/// is processed, all exactly once, in stream order, and no stage runs
+/// further ahead than its distance.
+TEST(ForEachEdgeTwoStageTest, StagesEveryEdgeOnceInOrder) {
+  constexpr size_t kNear = kScorePrefetchDistance;
+  constexpr size_t kFar = 2 * kScorePrefetchDistance;
+  for (size_t n = 0; n <= 3 * kFar + 1; ++n) {
+    std::vector<Edge> edges;
+    for (size_t i = 0; i < n; ++i) {
+      edges.push_back({static_cast<VertexId>(i), 0});
+    }
+    std::vector<size_t> far_at(n, SIZE_MAX);
+    std::vector<size_t> near_at(n, SIZE_MAX);
+    std::vector<VertexId> processed;
+    size_t event = 0;
+    ForEachEdgeTwoStage(
+        edges.data(), n,
+        [&](const Edge& e) {
+          EXPECT_EQ(far_at[e.first], SIZE_MAX) << "n=" << n;
+          EXPECT_LE(e.first, processed.size() + kFar) << "n=" << n;
+          far_at[e.first] = event++;
+        },
+        [&](const Edge& e) {
+          EXPECT_EQ(near_at[e.first], SIZE_MAX) << "n=" << n;
+          EXPECT_LE(e.first, processed.size() + kNear) << "n=" << n;
+          near_at[e.first] = event++;
+        },
+        [&](const Edge& e) {
+          EXPECT_LT(near_at[e.first], event) << "n=" << n;
+          EXPECT_LT(far_at[e.first], near_at[e.first]) << "n=" << n;
+          processed.push_back(e.first);
+          ++event;
+        });
+    ASSERT_EQ(processed.size(), n);
+    for (size_t i = 0; i < n; ++i) {
+      EXPECT_EQ(processed[i], i) << "n=" << n;
+    }
+  }
 }
 
 }  // namespace
