@@ -43,6 +43,35 @@ class InMemoryEdgeStream : public EdgeStream {
   size_t position_ = 0;
 };
 
+/// Non-owning EdgeStream view over an edge vector that outlives it.
+/// Streams an edge list without copying it: procsim's materialized
+/// partitions, the serving tier's placement log.
+class VectorEdgeStream : public EdgeStream {
+ public:
+  explicit VectorEdgeStream(const std::vector<Edge>& edges)
+      : edges_(&edges) {}
+
+  Status Reset() override {
+    position_ = 0;
+    return Status::OK();
+  }
+
+  size_t Next(Edge* out, size_t capacity) override {
+    const size_t n = std::min(capacity, edges_->size() - position_);
+    if (n > 0) {
+      std::memcpy(out, edges_->data() + position_, n * sizeof(Edge));
+      position_ += n;
+    }
+    return n;
+  }
+
+  uint64_t NumEdgesHint() const override { return edges_->size(); }
+
+ private:
+  const std::vector<Edge>* edges_;
+  size_t position_ = 0;
+};
+
 }  // namespace tpsl
 
 #endif  // TPSL_GRAPH_IN_MEMORY_EDGE_STREAM_H_

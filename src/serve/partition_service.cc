@@ -10,26 +10,59 @@
 namespace tpsl {
 namespace serve {
 
-/// Records every bootstrap placement into a ledger (edge -> partition
-/// stack, LIFO so duplicate-edge removal is deterministic) and, when
-/// given one, an ordered edge log.
-class PartitionService::LedgerSink : public AssignmentSink {
+namespace {
+
+/// Records each bootstrap placement into a PlacementLedger whose log is
+/// the bootstrap's input: the partitioner assigns in stream order, so
+/// each Assign() fills the next adopted log position.
+class LedgerSink : public AssignmentSink {
  public:
-  LedgerSink(std::unordered_map<Edge, std::vector<PartitionId>>* placements,
-             std::vector<Edge>* edge_log)
-      : placements_(placements), edge_log_(edge_log) {}
+  explicit LedgerSink(PlacementLedger* ledger) : ledger_(ledger) {}
 
   void Assign(const Edge& edge, PartitionId partition) override {
-    (*placements_)[edge].push_back(partition);
-    if (edge_log_ != nullptr) {
-      edge_log_->push_back(edge);
-    }
+    ledger_->Append(edge, partition);
   }
 
  private:
-  std::unordered_map<Edge, std::vector<PartitionId>>* placements_;
-  std::vector<Edge>* edge_log_;
+  PlacementLedger* ledger_;
 };
+
+/// Bootstraps `partitioner` over `ledger`'s adopted log, streamed in
+/// place, and fills the ledger's partitions.
+Status BootstrapOverLedger(IncrementalPartitioner& partitioner,
+                           PlacementLedger& ledger) {
+  if (ledger.log().size() >= PlacementLedger::kNoPosition) {
+    return Status::OutOfRange("edge log exceeds the ledger's position range");
+  }
+  VectorEdgeStream stream(ledger.log());
+  LedgerSink sink(&ledger);
+  return partitioner.Bootstrap(stream, sink);
+}
+
+// The two mutations, shared by the writer and the adoption replay.
+
+StatusOr<PartitionId> PlaceAndRecord(IncrementalPartitioner& partitioner,
+                                     PlacementLedger& ledger,
+                                     const Edge& edge) {
+  if (ledger.full()) {
+    return Status::OutOfRange("placement ledger is full");
+  }
+  TPSL_ASSIGN_OR_RETURN(const PartitionId partition,
+                        partitioner.AddEdge(edge));
+  ledger.Append(edge, partition);
+  return partition;
+}
+
+/// Removes the newest live placement of `edge` (LIFO).
+Status UnplaceAndRecord(IncrementalPartitioner& partitioner,
+                        PlacementLedger& ledger, const Edge& edge) {
+  TPSL_ASSIGN_OR_RETURN(const PartitionId partition,
+                        ledger.LookupPlacement(edge));
+  TPSL_RETURN_IF_ERROR(partitioner.RemoveEdge(edge, partition));
+  return ledger.RemoveEdge(edge);
+}
+
+}  // namespace
 
 PartitionService::PartitionService(const PartitionConfig& config,
                                    Options options)
@@ -81,9 +114,12 @@ Status PartitionService::Bootstrap(EdgeStream& base_graph) {
   if (!snapshots_.empty()) {
     return Status::FailedPrecondition("Bootstrap() called twice");
   }
-  LedgerSink sink(&placements_, &edge_log_);
-  TPSL_RETURN_IF_ERROR(partitioner_->Bootstrap(base_graph, sink));
-  ledger_entries_ = edge_log_.size();
+  std::vector<Edge> log;
+  log.reserve(base_graph.NumEdgesHint());
+  TPSL_RETURN_IF_ERROR(
+      ForEachEdge(base_graph, [&log](const Edge& e) { log.push_back(e); }));
+  ledger_ = PlacementLedger(std::move(log));
+  TPSL_RETURN_IF_ERROR(BootstrapOverLedger(*partitioner_, ledger_));
   InstallTableLocked(BuildServingTable(*partitioner_, 1));
   ++epochs_published_;
   publishes_counter_->Increment();
@@ -96,13 +132,10 @@ StatusOr<PartitionId> PartitionService::AddEdge(const Edge& edge) {
   if (snapshots_.empty()) {
     return Status::FailedPrecondition("AddEdge() before Bootstrap()");
   }
-  StatusOr<PartitionId> placed = partitioner_->AddEdge(edge);
+  StatusOr<PartitionId> placed = PlaceAndRecord(*partitioner_, ledger_, edge);
   if (!placed.ok()) {
     return placed;
   }
-  placements_[edge].push_back(*placed);
-  ++ledger_entries_;
-  edge_log_.push_back(edge);
   RecordMutationLocked(edge, /*add=*/true);
   dirty_.push_back(edge.first);
   dirty_.push_back(edge.second);
@@ -117,18 +150,7 @@ Status PartitionService::RemoveEdge(const Edge& edge) {
   if (snapshots_.empty()) {
     return Status::FailedPrecondition("RemoveEdge() before Bootstrap()");
   }
-  auto it = placements_.find(edge);
-  if (it == placements_.end() || it->second.empty()) {
-    return Status::NotFound("edge has no live placement");
-  }
-  const PartitionId partition = it->second.back();
-  TPSL_RETURN_IF_ERROR(partitioner_->RemoveEdge(edge, partition));
-  it->second.pop_back();
-  --ledger_entries_;
-  if (it->second.empty()) {
-    placements_.erase(it);
-  }
-  ++removed_[edge];
+  TPSL_RETURN_IF_ERROR(UnplaceAndRecord(*partitioner_, ledger_, edge));
   RecordMutationLocked(edge, /*add=*/false);
   // Replica bits shrink lazily, so no serving rows are dirtied — the
   // next publish refreshes loads and the live edge count.
@@ -140,11 +162,7 @@ Status PartitionService::RemoveEdge(const Edge& edge) {
 StatusOr<PartitionId> PartitionService::LookupPlacement(
     const Edge& edge) const {
   std::lock_guard<std::mutex> lock(writer_mutex_);
-  auto it = placements_.find(edge);
-  if (it == placements_.end() || it->second.empty()) {
-    return Status::NotFound("edge has no live placement");
-  }
-  return it->second.back();
+  return ledger_.LookupPlacement(edge);
 }
 
 Status PartitionService::Flush() {
@@ -257,19 +275,9 @@ void PartitionService::MaybeForkRebootstrapLocked() {
     return;
   }
   auto job = std::make_shared<RebootstrapJob>();
-  // Compact the live edge set in placement order: skip each logged edge
-  // as many times as it was removed. Deterministic, and the compacted
-  // log becomes the adopted partitioner's new edge log.
-  std::unordered_map<Edge, uint32_t> remaining = removed_;
-  job->base_edges.reserve(partitioner_->num_edges());
-  for (const Edge& e : edge_log_) {
-    auto it = remaining.find(e);
-    if (it != remaining.end() && it->second > 0) {
-      --it->second;
-      continue;
-    }
-    job->base_edges.push_back(e);
-  }
+  // The live edge set in placement order (deterministic); the job's
+  // ledger adopts it as its log, and its bootstrap streams it in place.
+  job->ledger = PlacementLedger(ledger_.Compact());
   publishes_since_fork_ = 0;
   replay_log_.clear();
   job_ = job;
@@ -282,9 +290,7 @@ void PartitionService::MaybeForkRebootstrapLocked() {
   pool->Submit([job, config, popts] {
     WallTimer timer;
     auto partitioner = std::make_unique<IncrementalPartitioner>(config, popts);
-    InMemoryEdgeStream stream(job->base_edges);  // copy: the job keeps the log
-    LedgerSink sink(&job->placements, /*edge_log=*/nullptr);
-    Status status = partitioner->Bootstrap(stream, sink);
+    Status status = BootstrapOverLedger(*partitioner, job->ledger);
     std::lock_guard<std::mutex> jl(job->mutex);
     job->status = status;
     job->partitioner = std::move(partitioner);
@@ -315,44 +321,25 @@ Status PartitionService::AdoptRebootstrapLocked() {
 
   std::unique_ptr<IncrementalPartitioner> partitioner =
       std::move(job->partitioner);
-  std::unordered_map<Edge, std::vector<PartitionId>> placements =
-      std::move(job->placements);
-  std::vector<Edge> edge_log = std::move(job->base_edges);
-  std::unordered_map<Edge, uint32_t> removed;
-  uint64_t ledger_entries = edge_log.size();
+  PlacementLedger ledger = std::move(job->ledger);
 
   // Replay every mutation made while the bootstrap ran.
   for (const ReplayOp& op : replay_log_) {
+    Status replayed;
     if (op.add) {
-      StatusOr<PartitionId> placed = partitioner->AddEdge(op.edge);
-      if (!placed.ok()) {
-        return Status::Internal("re-bootstrap replay rejected an add: " +
-                                placed.status().message());
-      }
-      placements[op.edge].push_back(*placed);
-      ++ledger_entries;
-      edge_log.push_back(op.edge);
+      replayed = PlaceAndRecord(*partitioner, ledger, op.edge).status();
     } else {
-      auto it = placements.find(op.edge);
-      if (it == placements.end() || it->second.empty()) {
-        return Status::Internal("re-bootstrap replay lost a removal target");
-      }
-      const PartitionId partition = it->second.back();
-      TPSL_RETURN_IF_ERROR(partitioner->RemoveEdge(op.edge, partition));
-      it->second.pop_back();
-      --ledger_entries;
-      if (it->second.empty()) {
-        placements.erase(it);
-      }
-      ++removed[op.edge];
+      replayed = UnplaceAndRecord(*partitioner, ledger, op.edge);
+    }
+    if (!replayed.ok()) {
+      return Status::Internal("re-bootstrap replay failed: " +
+                              replayed.message());
     }
   }
 
+  // The retired ledger is four flat buffers: freeing it here is cheap.
   partitioner_ = std::move(partitioner);
-  placements_ = std::move(placements);
-  edge_log_ = std::move(edge_log);
-  removed_ = std::move(removed);
-  ledger_entries_ = ledger_entries;
+  ledger_ = std::move(ledger);
   dirty_.clear();
   pending_mutations_ = 0;
   replay_log_.clear();
@@ -427,15 +414,7 @@ PartitionId PartitionService::Reader::RouteEdge(const Edge& e) const {
 }
 
 uint64_t PartitionService::WriterStateBytesLocked() const {
-  // Ledger cost is estimated from entry counts (exact capacities would
-  // cost an O(|E|) walk per Stats call): one map node + one partition
-  // slot per live placement.
-  constexpr uint64_t kNodeOverhead =
-      sizeof(Edge) + sizeof(std::vector<PartitionId>) + 2 * sizeof(void*);
-  return partitioner_->StateBytes() + edge_log_.capacity() * sizeof(Edge) +
-         ledger_entries_ * (kNodeOverhead + sizeof(PartitionId)) +
-         removed_.size() * (sizeof(Edge) + sizeof(uint32_t) +
-                            2 * sizeof(void*)) +
+  return partitioner_->StateBytes() + ledger_.HeapBytes() +
          (snapshots_.empty() ? 0 : snapshots_.back()->HeapBytes());
 }
 

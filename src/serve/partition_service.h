@@ -7,7 +7,6 @@
 #include <limits>
 #include <memory>
 #include <mutex>
-#include <unordered_map>
 #include <vector>
 
 #include "dynamic/incremental_partitioner.h"
@@ -15,6 +14,7 @@
 #include "graph/edge_stream.h"
 #include "graph/types.h"
 #include "obs/metrics.h"
+#include "serve/placement_ledger.h"
 #include "serve/serving_table.h"
 #include "util/status.h"
 
@@ -40,12 +40,18 @@ namespace serve {
 ///    snapshots and frees one only after every pinned reader epoch has
 ///    advanced past it.
 ///
+/// The writer records every placement in a PlacementLedger: a flat
+/// edge log with a partition id per position and an open-addressing
+/// index from edge to its newest position (removals tombstone, LIFO
+/// per edge).
+///
 /// When StalenessRatio() crosses `rebootstrap_threshold`, the writer
-/// forks a compacted copy of the live edge log and re-bootstraps a
-/// fresh partitioner on the exec ThreadPool while continuing to serve
-/// and mutate the old state; mutations made in the interim are logged
-/// and replayed into the new partitioner at adoption, which publishes
-/// a fully rebuilt snapshot without ever dropping reads.
+/// compacts the ledger into the live edge log and re-bootstraps a fresh
+/// partitioner over it on the exec ThreadPool, into a ledger of its own
+/// that adopts that log, while continuing to serve and mutate the old
+/// state; mutations made in the interim are logged and replayed into
+/// the new partitioner and ledger at adoption, which swaps them in and
+/// publishes a fully rebuilt snapshot without ever dropping reads.
 class PartitionService {
  public:
   struct Options {
@@ -123,8 +129,9 @@ class PartitionService {
   PartitionService(const PartitionService&) = delete;
   PartitionService& operator=(const PartitionService&) = delete;
 
-  /// Runs the full 2PS-L bootstrap over the base graph, records every
-  /// placement in the serving ledger, and publishes epoch 1.
+  /// Copies the base graph into the ledger's edge log, runs the full
+  /// 2PS-L bootstrap over it, records every placement in the ledger,
+  /// and publishes epoch 1.
   Status Bootstrap(EdgeStream& base_graph);
 
   /// Places one new edge and returns its partition. Self-loops and
@@ -181,20 +188,16 @@ class PartitionService {
 
   /// Background re-bootstrap: a fresh partitioner over the compacted
   /// live edge log, built off-thread while the writer keeps serving.
+  /// The job thread owns `partitioner` and `ledger` until `done`.
   struct RebootstrapJob {
     std::mutex mutex;
     std::condition_variable done_cv;
     bool done = false;
     Status status = Status::OK();
     std::unique_ptr<IncrementalPartitioner> partitioner;
-    std::vector<Edge> base_edges;  // compacted log, placement order
-    std::unordered_map<Edge, std::vector<PartitionId>> placements;
+    PlacementLedger ledger;  // adopts the compacted log at the fork
     double fork_to_done_seconds = 0.0;
   };
-
-  /// Captures (edge -> partition) during a bootstrap into a ledger +
-  /// ordered edge log.
-  class LedgerSink;
 
   void InstallTableLocked(std::shared_ptr<const ServingTable> table);
   Status MaybePublishLocked();
@@ -222,10 +225,7 @@ class PartitionService {
   // --- Writer state (writer_mutex_). ---
   mutable std::mutex writer_mutex_;
   std::unique_ptr<IncrementalPartitioner> partitioner_;
-  std::vector<Edge> edge_log_;  // placement order, removals not erased
-  std::unordered_map<Edge, uint32_t> removed_;  // edge -> removed count
-  std::unordered_map<Edge, std::vector<PartitionId>> placements_;
-  uint64_t ledger_entries_ = 0;  // live placements across all ledger stacks
+  PlacementLedger ledger_;
   std::vector<VertexId> dirty_;
   uint32_t pending_mutations_ = 0;
   uint64_t mutations_ = 0;

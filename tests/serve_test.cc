@@ -3,7 +3,9 @@
 #include <atomic>
 #include <cstdint>
 #include <memory>
+#include <optional>
 #include <thread>
+#include <unordered_map>
 #include <vector>
 
 #include "dynamic/incremental_partitioner.h"
@@ -11,6 +13,7 @@
 #include "graph/in_memory_edge_stream.h"
 #include "partition/assignment_sink.h"
 #include "serve/partition_service.h"
+#include "serve/placement_ledger.h"
 #include "serve/serving_table.h"
 #include "serve/traffic.h"
 #include "util/random.h"
@@ -70,6 +73,167 @@ std::vector<Edge> ProbeEdges(const std::vector<Edge>& base) {
     }
   }
   return probes;
+}
+
+/// The placement ledger as the service kept it before the flat layout:
+/// a LIFO stack of partitions per edge, the edge log in placement
+/// order, and a removal count per edge. Compaction skips the first r
+/// occurrences of an edge removed r times.
+class ReferenceLedger {
+ public:
+  void Append(const Edge& e, PartitionId p) {
+    stacks_[e].push_back(p);
+    log_.push_back(e);
+  }
+  StatusOr<PartitionId> Lookup(const Edge& e) const {
+    auto it = stacks_.find(e);
+    if (it == stacks_.end() || it->second.empty()) {
+      return Status::NotFound("no live placement");
+    }
+    return it->second.back();
+  }
+  StatusOr<PartitionId> Remove(const Edge& e) {
+    StatusOr<PartitionId> p = Lookup(e);
+    if (p.ok()) {
+      stacks_[e].pop_back();
+      ++removed_[e];
+      ++removals_;
+    }
+    return p;
+  }
+  uint64_t live() const { return log_.size() - removals_; }
+  std::vector<Edge> Compact() const {
+    std::unordered_map<Edge, uint32_t> remaining = removed_;
+    std::vector<Edge> out;
+    for (const Edge& e : log_) {
+      auto it = remaining.find(e);
+      if (it != remaining.end() && it->second > 0) {
+        --it->second;
+        continue;
+      }
+      out.push_back(e);
+    }
+    return out;
+  }
+
+ private:
+  std::unordered_map<Edge, std::vector<PartitionId>> stacks_;
+  std::unordered_map<Edge, uint32_t> removed_;
+  std::vector<Edge> log_;
+  uint64_t removals_ = 0;
+};
+
+class ReferenceSink : public AssignmentSink {
+ public:
+  explicit ReferenceSink(ReferenceLedger* ledger) : ledger_(ledger) {}
+  void Assign(const Edge& edge, PartitionId partition) override {
+    ledger_->Append(edge, partition);
+  }
+
+ private:
+  ReferenceLedger* ledger_;
+};
+
+TEST(PlacementLedgerTest, MatchesReferenceUnderDuplicateHeavyChurn) {
+  // Edges over 64 vertices: about 10k appends land on at most 4096
+  // distinct edges, so most edges carry several placements and many
+  // are removed down to none and placed again. A default ledger starts
+  // with 16 index slots and ends with thousands of distinct edges, so
+  // the index rehashes several times between the checks below; halfway
+  // through, both ledgers restart from their compaction the way a
+  // re-bootstrap does (adopted log, partitions filled in order).
+  for (uint64_t seed = 1; seed <= 5; ++seed) {
+    SplitMix64 rng(seed);
+    PlacementLedger ledger;
+    ReferenceLedger reference;
+    const auto random_edge = [&rng] {
+      return Edge{static_cast<VertexId>(rng.NextBounded(64)),
+                  static_cast<VertexId>(rng.NextBounded(64))};
+    };
+    for (int op = 0; op < 20'000; ++op) {
+      const Edge e = random_edge();
+      const uint64_t kind = rng.NextBounded(10);
+      if (kind < 5) {
+        const PartitionId p = static_cast<PartitionId>(rng.NextBounded(32));
+        ledger.Append(e, p);
+        reference.Append(e, p);
+      } else if (kind < 9) {
+        const StatusOr<PartitionId> want = reference.Remove(e);
+        const StatusOr<PartitionId> looked_up = ledger.LookupPlacement(e);
+        ASSERT_EQ(looked_up.status().code(), want.status().code())
+            << "seed " << seed << " op " << op;
+        if (want.ok()) {
+          ASSERT_EQ(*looked_up, *want) << "seed " << seed << " op " << op;
+        }
+        ASSERT_EQ(ledger.RemoveEdge(e).code(), want.status().code())
+            << "seed " << seed << " op " << op;
+      } else {
+        const StatusOr<PartitionId> want = reference.Lookup(e);
+        const StatusOr<PartitionId> got = ledger.LookupPlacement(e);
+        ASSERT_EQ(got.status().code(), want.status().code())
+            << "seed " << seed << " op " << op;
+        if (want.ok()) {
+          ASSERT_EQ(*got, *want) << "seed " << seed << " op " << op;
+        }
+      }
+      ASSERT_EQ(ledger.live(), reference.live()) << "seed " << seed;
+      if (op % 1000 == 999) {
+        ASSERT_EQ(ledger.Compact(), reference.Compact())
+            << "seed " << seed << " op " << op;
+      }
+      if (op == 10'000) {
+        const std::vector<Edge> compacted = reference.Compact();
+        ASSERT_EQ(ledger.Compact(), compacted);
+        ledger = PlacementLedger(compacted);
+        reference = ReferenceLedger();
+        for (const Edge& c : compacted) {
+          const PartitionId p = static_cast<PartitionId>(rng.NextBounded(32));
+          ledger.Append(c, p);
+          reference.Append(c, p);
+        }
+        ASSERT_EQ(ledger.log(), compacted);
+        ASSERT_EQ(ledger.live(), compacted.size());
+      }
+    }
+    EXPECT_EQ(ledger.Compact(), reference.Compact()) << "seed " << seed;
+  }
+}
+
+TEST(PlacementLedgerTest, FullyRemovedEdgeIsNotFoundUntilPlacedAgain) {
+  PlacementLedger ledger;
+  const Edge a{1, 2};
+  const Edge b{2, 1};  // a different edge: keys are ordered pairs
+  EXPECT_EQ(ledger.LookupPlacement(a).status().code(), StatusCode::kNotFound);
+  EXPECT_EQ(ledger.RemoveEdge(a).code(), StatusCode::kNotFound);
+  ledger.Append(a, 3);
+  ledger.Append(b, 4);
+  ledger.Append(a, 5);
+  ASSERT_EQ(*ledger.LookupPlacement(a), 5u);  // newest first (LIFO)
+  ASSERT_TRUE(ledger.RemoveEdge(a).ok());
+  ASSERT_EQ(*ledger.LookupPlacement(a), 3u);
+  ASSERT_TRUE(ledger.RemoveEdge(a).ok());
+  EXPECT_EQ(ledger.RemoveEdge(a).code(), StatusCode::kNotFound);
+  EXPECT_EQ(ledger.LookupPlacement(a).status().code(), StatusCode::kNotFound);
+  EXPECT_EQ(*ledger.LookupPlacement(b), 4u);
+  EXPECT_EQ(ledger.live(), 1u);
+  EXPECT_EQ(ledger.Compact(), (std::vector<Edge>{b}));
+  ledger.Append(a, 6);
+  EXPECT_EQ(*ledger.LookupPlacement(a), 6u);
+  // a's one live placement is its newest position: after b in the log.
+  EXPECT_EQ(ledger.Compact(), (std::vector<Edge>{b, a}));
+}
+
+TEST(PlacementLedgerTest, AdoptedLogCostsUnderThirtyTwoBytesPerEdge) {
+  std::vector<Edge> log;
+  for (VertexId v = 0; v < 100'000; ++v) {
+    log.push_back(Edge{v, v + 1});
+  }
+  PlacementLedger ledger(log);
+  for (const Edge& e : log) {
+    ledger.Append(e, e.first % 32);
+  }
+  EXPECT_LE(ledger.HeapBytes(), 32u * log.size());
+  EXPECT_EQ(ledger.live(), log.size());
 }
 
 TEST(ServingTableTest, BuildMatchesOracleEverywhere) {
@@ -192,6 +356,138 @@ TEST(PartitionServiceTest, PlacementsMatchFromScratchPartitioner) {
   ASSERT_NE(snapshot, nullptr);
   EXPECT_EQ(snapshot->live_edges(), oracle.num_edges());
   ExpectTableMatchesOracle(*snapshot, oracle, ProbeEdges(edges));
+}
+
+TEST(PartitionServiceTest, RebootstrapWithDuplicatesMatchesReferenceCompaction) {
+  // Duplicate-heavy adds and LIFO removals across several forks and
+  // adoptions. The oracle is an IncrementalPartitioner bootstrapped on
+  // the reference ledger's compaction at each fork and replayed with
+  // the same interim operations, so the service must reproduce the
+  // reference compaction order exactly.
+  const auto edges = BaseGraph();
+  PartitionService::Options options;
+  options.publish_batch_edges = 64;
+  options.rebootstrap_threshold = 0.02;
+  options.adopt_after_publishes = 3;
+  PartitionService service(Config(16), options);
+  {
+    InMemoryEdgeStream stream(edges);
+    ASSERT_TRUE(service.Bootstrap(stream).ok());
+  }
+
+  struct OracleState {
+    std::unique_ptr<IncrementalPartitioner> partitioner;
+    ReferenceLedger ledger;
+  };
+  const auto bootstrap = [](const std::vector<Edge>& base, OracleState* s) {
+    s->partitioner = std::make_unique<IncrementalPartitioner>(Config(16));
+    s->ledger = ReferenceLedger();
+    InMemoryEdgeStream stream(base);
+    ReferenceSink sink(&s->ledger);
+    ASSERT_TRUE(s->partitioner->Bootstrap(stream, sink).ok());
+  };
+  struct Op {
+    bool add;
+    Edge edge;
+  };
+  const auto apply = [](OracleState& s, const Op& op) -> StatusOr<PartitionId> {
+    if (op.add) {
+      StatusOr<PartitionId> placed = s.partitioner->AddEdge(op.edge);
+      if (placed.ok()) {
+        s.ledger.Append(op.edge, *placed);
+      }
+      return placed;
+    }
+    StatusOr<PartitionId> removed = s.ledger.Remove(op.edge);
+    if (removed.ok()) {
+      TPSL_RETURN_IF_ERROR(s.partitioner->RemoveEdge(op.edge, *removed));
+    }
+    return removed;
+  };
+
+  OracleState current;
+  bootstrap(edges, &current);
+  std::optional<OracleState> pending;
+  std::vector<Op> interim;
+  uint64_t adopted = 0;
+  uint64_t duplicate_adds = 0;
+  uint64_t duplicate_removals = 0;
+  // Mirrors what the last service call did at its publish boundary:
+  // adopt the finished job, or fork one after applying the operation.
+  const auto follow_service = [&] {
+    if (service.Rebootstraps() != adopted) {
+      ASSERT_TRUE(pending.has_value());
+      for (const Op& op : interim) {
+        ASSERT_TRUE(apply(*pending, op).ok());
+      }
+      current = std::move(*pending);
+      pending.reset();
+      interim.clear();
+      ++adopted;
+    }
+    if (service.RebootstrapInFlight() && !pending.has_value()) {
+      pending.emplace();
+      bootstrap(current.ledger.Compact(), &*pending);
+    }
+  };
+
+  // Hot set: vertices [0, 48), whose friend-circle cliques are in the
+  // base graph, so the adds duplicate base edges and one another.
+  SplitMix64 rng(21);
+  for (int i = 0; i < 3000; ++i) {
+    VertexId u = static_cast<VertexId>(rng.NextBounded(48));
+    VertexId v = static_cast<VertexId>(rng.NextBounded(47));
+    v = v >= u ? v + 1 : v;
+    if (u > v) {
+      std::swap(u, v);
+    }
+    const Op op{rng.NextBounded(3) != 0, Edge{u, v}};
+    const StatusOr<PartitionId> live = current.ledger.Lookup(op.edge);
+    const StatusOr<PartitionId> looked_up = service.LookupPlacement(op.edge);
+    ASSERT_EQ(looked_up.status().code(), live.status().code()) << "op " << i;
+    if (live.ok()) {
+      ASSERT_EQ(*looked_up, *live) << "op " << i;
+    }
+    bool applied;
+    if (op.add) {
+      duplicate_adds += live.ok() ? 1 : 0;
+      const StatusOr<PartitionId> got = service.AddEdge(op.edge);
+      const StatusOr<PartitionId> want = apply(current, op);
+      ASSERT_TRUE(got.ok() && want.ok()) << "op " << i;
+      ASSERT_EQ(*got, *want) << "op " << i;
+      applied = true;
+    } else {
+      const Status got = service.RemoveEdge(op.edge);
+      const StatusOr<PartitionId> want = apply(current, op);
+      ASSERT_EQ(got.code(), want.status().code()) << "op " << i;
+      applied = got.ok();
+      duplicate_removals += applied && current.ledger.Lookup(op.edge).ok();
+    }
+    // Only applied mutations enter the service's replay log.
+    if (applied && pending.has_value()) {
+      interim.push_back(op);
+    }
+    follow_service();
+  }
+  // The first Flush publishes the tail (which may fork), the second
+  // adopts whatever is still in flight.
+  for (int flush = 0; flush < 2; ++flush) {
+    ASSERT_TRUE(service.Flush().ok());
+    follow_service();
+  }
+  ASSERT_FALSE(service.RebootstrapInFlight());
+  EXPECT_GE(adopted, 2u);
+  EXPECT_GT(duplicate_adds, 100u);
+  EXPECT_GT(duplicate_removals, 10u);
+
+  EXPECT_EQ(service.partitioner_for_test().num_edges(),
+            current.partitioner->num_edges());
+  EXPECT_EQ(service.partitioner_for_test().loads(),
+            current.partitioner->loads());
+  const auto snapshot = service.CurrentSnapshot();
+  ASSERT_NE(snapshot, nullptr);
+  EXPECT_EQ(snapshot->live_edges(), current.partitioner->num_edges());
+  ExpectTableMatchesOracle(*snapshot, *current.partitioner, ProbeEdges(edges));
 }
 
 TEST(PartitionServiceTest, RebootstrapAdoptionPublishesFreshState) {
